@@ -15,6 +15,7 @@
 //! painting by construction: a band is just a raster whose writable row
 //! range is narrower, every other code path is shared.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::color::Color;
@@ -376,6 +377,28 @@ impl Framebuffer {
         }
     }
 
+    /// Wraps row-major `pixels` as a `width`×`height` framebuffer,
+    /// taking ownership of the vector (no fill, no copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is negative or `pixels` does not hold
+    /// exactly `width * height` values.
+    pub fn from_pixels(width: i32, height: i32, pixels: Vec<u32>) -> Framebuffer {
+        assert!(width >= 0 && height >= 0, "negative framebuffer dimension");
+        assert_eq!(
+            pixels.len(),
+            width as usize * height as usize,
+            "pixel count does not match {width}x{height}"
+        );
+        Framebuffer {
+            width,
+            height,
+            pixels,
+            clip: None,
+        }
+    }
+
     /// Width in pixels.
     pub fn width(&self) -> i32 {
         self.width
@@ -574,21 +597,82 @@ impl Framebuffer {
         &self.pixels
     }
 
-    /// The region where `self` and `other` differ, as row spans merged
-    /// through the band algebra (vertically adjacent equal spans
-    /// coalesce into one band rect). Returns `None` when the buffers
-    /// have different dimensions — there is no meaningful diff across a
+    /// Copies row-major `pixels` into rectangle `r` with one slice copy
+    /// per row, ignoring the clip — the patch-apply primitive.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `r` lies inside the bounds and `pixels` holds
+    /// exactly `r.width * r.height` values.
+    pub fn put_rect(&mut self, r: Rect, pixels: &[u32]) {
+        if r.is_empty() {
+            assert!(pixels.is_empty(), "pixels for an empty rect");
+            return;
+        }
+        assert!(self.bounds().contains_rect(r), "{r:?} outside the frame");
+        let rw = r.width as usize;
+        assert_eq!(pixels.len(), rw * r.height as usize, "pixel count");
+        for (y, src) in (r.y..r.bottom()).zip(pixels.chunks_exact(rw)) {
+            let x = r.x as usize;
+            self.row_mut(y)[x..x + rw].copy_from_slice(src);
+        }
+    }
+
+    /// Copies the rows `rows` (clamped to the frame) of `src` into the
+    /// same rows here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two framebuffers differ in size.
+    pub fn copy_rows_from(&mut self, src: &Framebuffer, rows: Range<i32>) {
+        assert!(
+            self.width == src.width && self.height == src.height,
+            "row copy across sizes"
+        );
+        let (y0, y1) = self.clamp_rows(rows);
+        let w = self.width as usize;
+        let span = y0 as usize * w..y1 as usize * w;
+        self.pixels[span.clone()].copy_from_slice(&src.pixels[span]);
+    }
+
+    /// `rows` clamped to `[0, height)`, as a possibly empty `(y0, y1)`.
+    fn clamp_rows(&self, rows: Range<i32>) -> (i32, i32) {
+        let y0 = rows.start.clamp(0, self.height);
+        (y0, rows.end.clamp(y0, self.height))
+    }
+
+    /// The exact region where `self` and `other` differ, given that
+    /// they can differ only inside `rows`: rows outside the range are
+    /// not read. The region is built in one linear pass
+    /// ([`Region::from_row_spans`]), so frame assembly costs what was
+    /// drawn, not the frame size. Returns `None` when the buffers have
+    /// different dimensions — there is no meaningful diff across a
     /// resize, callers should fall back to shipping the whole frame.
+    pub fn diff_rows(&self, other: &Framebuffer, rows: Range<i32>) -> Option<Region> {
+        if self.width != other.width || self.height != other.height {
+            return None;
+        }
+        Some(Region::from_row_spans(self.diff_spans(other, rows)))
+    }
+
+    /// The full-frame diff: every row compared, spans merged through
+    /// the general band algebra ([`Region::from_rects`]). The reference
+    /// [`Framebuffer::diff_rows`] is checked against.
     pub fn diff_region(&self, other: &Framebuffer) -> Option<Region> {
         if self.width != other.width || self.height != other.height {
             return None;
         }
+        Some(Region::from_rects(self.diff_spans(other, 0..self.height)))
+    }
+
+    /// One-row spans where two same-sized buffers differ within `rows`,
+    /// sorted by `(y, x)`, no two in a row touching.
+    fn diff_spans(&self, other: &Framebuffer, rows: Range<i32>) -> Vec<Rect> {
+        let (y0, y1) = self.clamp_rows(rows);
         let w = self.width as usize;
         let mut spans = Vec::new();
-        for y in 0..self.height {
-            let row = y as usize * w;
-            let a = &self.pixels[row..row + w];
-            let b = &other.pixels[row..row + w];
+        for y in y0..y1 {
+            let (a, b) = (self.row(y), other.row(y));
             if a == b {
                 continue;
             }
@@ -605,7 +689,7 @@ impl Framebuffer {
                 spans.push(Rect::new(start as i32, y, (x - start) as i32, 1));
             }
         }
-        Some(Region::from_rects(spans))
+        spans
     }
 }
 
@@ -863,6 +947,57 @@ mod tests {
         let a = Framebuffer::new(4, 4, Color::WHITE);
         let b = Framebuffer::new(5, 4, Color::WHITE);
         assert!(a.diff_region(&b).is_none());
+        assert!(a.diff_rows(&b, 0..4).is_none());
+    }
+
+    #[test]
+    fn diff_rows_reads_only_the_given_rows() {
+        let a = Framebuffer::new(12, 10, Color::WHITE);
+        let mut b = a.clone();
+        b.fill_rect(Rect::new(2, 3, 4, 3), Color::BLACK);
+        b.set(9, 3, Color::BLACK);
+        b.set(1, 8, Color::BLACK);
+        // Covering rows (and out-of-range ends, which clamp) give the
+        // full diff exactly; a narrower range sees only its rows.
+        assert_eq!(a.diff_rows(&b, -5..99), a.diff_region(&b));
+        assert_eq!(a.diff_rows(&b, 0..10), a.diff_region(&b));
+        let top = a.diff_rows(&b, 0..5).unwrap();
+        assert_eq!(
+            top.rects(),
+            &[
+                Rect::new(2, 3, 4, 1),
+                Rect::new(9, 3, 1, 1),
+                Rect::new(2, 4, 4, 1)
+            ]
+        );
+        assert!(a.diff_rows(&b, 6..8).unwrap().is_empty());
+        let reversed = Range { start: 7, end: 3 };
+        assert!(a.diff_rows(&b, reversed).unwrap().is_empty());
+    }
+
+    #[test]
+    fn put_rect_and_copy_rows_patch_in_place() {
+        let mut fb = Framebuffer::from_pixels(4, 3, (0..12).collect());
+        assert_eq!(fb.get(3, 2), Color(11));
+        fb.put_rect(Rect::new(1, 1, 2, 2), &[90, 91, 92, 93]);
+        assert_eq!(fb.pixels(), &[0, 1, 2, 3, 4, 90, 91, 7, 8, 92, 93, 11]);
+        fb.put_rect(Rect::new(0, 0, 0, 5), &[]);
+        let src = Framebuffer::new(4, 3, Color::BLACK);
+        fb.copy_rows_from(&src, 2..9);
+        assert_eq!(fb.pixels()[..8], [0, 1, 2, 3, 4, 90, 91, 7]);
+        assert_eq!(fb.count_pixels(Rect::new(0, 2, 4, 1), Color::BLACK), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the frame")]
+    fn put_rect_rejects_rects_outside_the_frame() {
+        Framebuffer::new(4, 4, Color::WHITE).put_rect(Rect::new(3, 0, 2, 1), &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel count")]
+    fn from_pixels_rejects_a_wrong_count() {
+        Framebuffer::from_pixels(4, 4, vec![0; 15]);
     }
 
     #[test]

@@ -162,6 +162,36 @@ impl Region {
         parts.pop().unwrap_or_default()
     }
 
+    /// Builds a region from one-row spans in one linear pass, for
+    /// callers that scan pixels row by row (the framebuffer diff).
+    ///
+    /// Every span must be one pixel high, the spans must arrive sorted
+    /// by `(y, x)`, and no two spans of one row may overlap or touch.
+    /// Under those conditions each row is already a valid band, so a
+    /// row either grows the band above it by one (same x-structure,
+    /// vertically adjacent) or starts a new band. The result equals
+    /// [`Region::from_rects`] of the same spans, structurally.
+    pub fn from_row_spans<I: IntoIterator<Item = Rect>>(spans: I) -> Region {
+        let mut out: Vec<Rect> = Vec::new();
+        let mut row: Vec<Rect> = Vec::new();
+        for s in spans {
+            debug_assert!(s.height == 1 && s.width > 0, "not a row span: {s:?}");
+            if let Some(last) = row.last() {
+                if last.y != s.y {
+                    debug_assert!(last.y < s.y, "row spans out of order");
+                    coalesce_with_previous_band(&mut out, &mut row);
+                    out.append(&mut row);
+                } else {
+                    debug_assert!(last.right() < s.x, "row spans touch or overlap");
+                }
+            }
+            row.push(s);
+        }
+        coalesce_with_previous_band(&mut out, &mut row);
+        out.append(&mut row);
+        Region { rects: out }
+    }
+
     /// Removes `r` from the region (in place).
     pub fn subtract_rect(&mut self, r: Rect) {
         *self = self.subtract(&Region::from_rect(r));
@@ -701,6 +731,36 @@ mod proptests {
                 folded.add_rect(r);
             }
             prop_assert_eq!(folded, baseline);
+        }
+
+        /// The linear row-span builder must produce exactly the
+        /// structure the general bulk constructor does. Rows draw their
+        /// bit pattern from a small palette (index 4 is an empty row),
+        /// so vertically repeated x-structures, gaps and changes of
+        /// structure all occur.
+        #[test]
+        fn from_row_spans_equals_from_rects(
+            palette in proptest::collection::vec(0u32..(1 << 20), 4..5),
+            rows in proptest::collection::vec(0usize..5, 0..16),
+        ) {
+            let mut spans = Vec::new();
+            for (y, &pick) in rows.iter().enumerate() {
+                let mask = palette.get(pick).copied().unwrap_or(0);
+                let mut x = 0;
+                while x < 20 {
+                    if mask & (1 << x) == 0 {
+                        x += 1;
+                        continue;
+                    }
+                    let start = x;
+                    while x < 20 && mask & (1 << x) != 0 {
+                        x += 1;
+                    }
+                    spans.push(Rect::new(start, y as i32, x - start, 1));
+                }
+            }
+            let linear = Region::from_row_spans(spans.iter().copied());
+            prop_assert_eq!(linear, Region::from_rects(spans));
         }
     }
 }

@@ -363,16 +363,15 @@ impl<T: FrameTransport> ServeClient<T> {
                 height,
                 pixels,
             } => {
-                let expect = (width as usize) * (height as usize);
-                if pixels.len() != expect {
+                let dims = (i32::try_from(width), i32::try_from(height));
+                let (Ok(w), Ok(h)) = dims else {
+                    return Err(ClientError::Protocol("keyframe dimensions".into()));
+                };
+                if pixels.len() as u64 != u64::from(width) * u64::from(height) {
                     return Err(ClientError::Protocol("keyframe pixel count".into()));
                 }
-                let mut fb = Framebuffer::new(width as i32, height as i32, Color::WHITE);
-                for (i, px) in pixels.iter().enumerate() {
-                    let (x, y) = ((i % width as usize) as i32, (i / width as usize) as i32);
-                    fb.set(x, y, Color(*px));
-                }
-                self.fb = fb;
+                // The decoded vector becomes the framebuffer as is.
+                self.fb = Framebuffer::from_pixels(w, h, pixels);
                 self.note_frame(seq, wire_len, encoded_len, true);
             }
             ServerFrame::Bye { .. } => {
@@ -394,11 +393,15 @@ impl<T: FrameTransport> ServeClient<T> {
 
     fn apply_patch(&mut self, patch: &PatchRect) -> Result<(), ClientError> {
         let r = patch.rect;
-        if r.x < 0
-            || r.y < 0
-            || r.right() > self.fb.width()
-            || r.bottom() > self.fb.height()
-            || patch.pixels.len() != (r.width as usize) * (r.height as usize)
+        // Widened so no input can overflow the checks.
+        let (x, y, w, h) = (r.x as i64, r.y as i64, r.width as i64, r.height as i64);
+        if x < 0
+            || y < 0
+            || w < 0
+            || h < 0
+            || x + w > self.fb.width() as i64
+            || y + h > self.fb.height() as i64
+            || patch.pixels.len() as i64 != w * h
         {
             return Err(ClientError::Protocol(format!(
                 "patch rect {r:?} outside {}x{} frame",
@@ -406,13 +409,113 @@ impl<T: FrameTransport> ServeClient<T> {
                 self.fb.height()
             )));
         }
-        let mut i = 0;
-        for y in r.y..r.bottom() {
-            for x in r.x..r.right() {
-                self.fb.set(x, y, Color(patch.pixels[i]));
-                i += 1;
-            }
-        }
+        self.fb.put_rect(r, &patch.pixels);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::MemTransport;
+    use atk_graphics::Rect;
+
+    /// A client mid-session on an 8×6 frame, no server behind it.
+    fn client() -> ServeClient<MemTransport> {
+        let (t, _server) = MemTransport::pair();
+        ServeClient {
+            t,
+            fb: Framebuffer::from_pixels(8, 6, (0..48).collect()),
+            session_id: 1,
+            sent: 0,
+            acked: 0,
+            in_flight: Vec::new(),
+            stats: ClientStats::default(),
+            ended: false,
+        }
+    }
+
+    fn update(rect: Rect, pixels: Vec<u32>) -> ServerFrame {
+        ServerFrame::Update {
+            seq: 0,
+            rects: vec![PatchRect { rect, pixels }],
+        }
+    }
+
+    #[test]
+    fn keyframe_replaces_the_frame_and_updates_patch_rows() {
+        let mut c = client();
+        let key = ServerFrame::Keyframe {
+            seq: 0,
+            width: 3,
+            height: 2,
+            pixels: vec![1, 2, 3, 4, 5, 6],
+        };
+        c.apply_frame(key, 0).unwrap();
+        assert_eq!((c.fb.width(), c.fb.height()), (3, 2));
+        assert_eq!(c.fb.pixels(), &[1, 2, 3, 4, 5, 6]);
+        c.apply_frame(update(Rect::new(1, 0, 2, 2), vec![7, 8, 9, 10]), 0)
+            .unwrap();
+        assert_eq!(c.fb.pixels(), &[1, 7, 8, 4, 9, 10]);
+        assert_eq!(c.stats.key_frames, 1);
+        assert_eq!(c.stats.diff_frames, 1);
+    }
+
+    #[test]
+    fn keyframe_pixel_count_mismatch_is_rejected() {
+        for pixels in [vec![0; 5], vec![0; 7], Vec::new()] {
+            let mut c = client();
+            let key = ServerFrame::Keyframe {
+                seq: 0,
+                width: 3,
+                height: 2,
+                pixels,
+            };
+            assert!(matches!(
+                c.apply_frame(key, 0),
+                Err(ClientError::Protocol(m)) if m == "keyframe pixel count"
+            ));
+            assert_eq!(c.fb.pixels().len(), 48, "frame left untouched");
+        }
+        let mut c = client();
+        let key = ServerFrame::Keyframe {
+            seq: 0,
+            width: u32::MAX,
+            height: 1,
+            pixels: Vec::new(),
+        };
+        assert!(c.apply_frame(key, 0).is_err());
+    }
+
+    #[test]
+    fn every_out_of_bounds_patch_is_rejected_untouched() {
+        let bad = [
+            ("x < 0", Rect::new(-1, 0, 2, 1), 2),
+            ("y < 0", Rect::new(0, -1, 2, 1), 2),
+            ("right past width", Rect::new(7, 0, 2, 1), 2),
+            ("bottom past height", Rect::new(0, 5, 1, 2), 2),
+            ("negative width", Rect::new(2, 0, -1, 1), 0),
+            ("negative height", Rect::new(2, 0, 1, -1), 0),
+            ("right overflows i32", Rect::new(i32::MAX, 0, 1, 1), 1),
+            ("bottom overflows i32", Rect::new(0, i32::MAX, 1, 1), 1),
+            ("too few pixels", Rect::new(0, 0, 2, 2), 3),
+            ("too many pixels", Rect::new(0, 0, 2, 2), 5),
+        ];
+        for (what, rect, n) in bad {
+            let mut c = client();
+            let before = c.fb.clone();
+            let err = c.apply_frame(update(rect, vec![99; n]), 0);
+            assert!(
+                matches!(err, Err(ClientError::Protocol(ref m)) if m.starts_with("patch rect")),
+                "{what}: {err:?}"
+            );
+            assert_eq!(c.fb, before, "{what}: frame must stay untouched");
+        }
+        // The edges themselves are fine.
+        let mut c = client();
+        c.apply_frame(update(Rect::new(6, 4, 2, 2), vec![1, 2, 3, 4]), 0)
+            .unwrap();
+        assert_eq!(c.fb.pixels()[38..40], [1, 2]);
+        assert_eq!(c.fb.pixels()[46..48], [3, 4]);
     }
 }

@@ -13,6 +13,7 @@
 //! under `tick 10, tick 10` but once under `tick 20`, and the
 //! served-vs-in-process oracle insists on byte identity.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,7 +96,10 @@ pub struct HostedSession {
     im: InteractionManager,
     cfg: SessionConfig,
     collector: Arc<Collector>,
-    /// Last framebuffer shipped to the client, diff baseline.
+    /// Last framebuffer shipped to the client, diff baseline. Patched
+    /// in place; whenever it is brought level with the screen the
+    /// window's written rows are cleared, so the rows the window
+    /// reports next are the only ones where the two can differ.
     shipped: Option<Framebuffer>,
     seq: u64,
     frames_since_key: u32,
@@ -571,15 +575,34 @@ impl HostedSession {
             .expect("serving needs a pixel-backed backend")
     }
 
+    /// Ships the whole screen. The frame's pixel vector is the one copy
+    /// of the screen; the baseline is refreshed in place, and only in
+    /// the written rows when its size still matches.
     fn keyframe(&mut self) -> ServerFrame {
-        let fb = self.current_fb();
-        let frame = ServerFrame::Keyframe {
-            seq: self.seq,
-            width: fb.width().max(0) as u32,
-            height: fb.height().max(0) as u32,
-            pixels: fb.pixels().to_vec(),
+        let seq = self.seq;
+        let keyframe_of = |cur: &Framebuffer| ServerFrame::Keyframe {
+            seq,
+            width: cur.width().max(0) as u32,
+            height: cur.height().max(0) as u32,
+            pixels: cur.pixels().to_vec(),
         };
-        self.shipped = Some(fb);
+        let shipped = &mut self.shipped;
+        let window = self.im.window_mut();
+        let rows = window.written_rows();
+        let mut frame = None;
+        let borrowed = window.with_frame(&mut |cur| {
+            refresh_baseline(shipped, cur, rows.clone());
+            frame = Some(keyframe_of(cur));
+        });
+        let frame = if borrowed {
+            frame.expect("with_frame ran the closure")
+        } else {
+            let cur = self.current_fb();
+            let frame = keyframe_of(&cur);
+            self.shipped = Some(cur);
+            frame
+        };
+        self.im.window_mut().clear_written_rows();
         self.frames_since_key = 0;
         self.collector.count("serve.frames", 1);
         self.collector
@@ -602,26 +625,29 @@ impl HostedSession {
     /// when nothing changed (no snapshot clone, no pixel payload),
     /// changed bands, or a keyframe when the diff blows the dirty-byte
     /// budget, the keyframe cadence is due, the window resized, or
-    /// diffing is ablated away.
+    /// diffing is ablated away. The diff reads only the rows the window
+    /// wrote since the baseline last matched the screen.
     fn assemble_frame(&mut self) -> ServerFrame {
         if self.cfg.keyframe_only || self.frames_since_key >= self.cfg.keyframe_every {
             return self.keyframe();
         }
         // Diff against a *borrow* of the backend framebuffer when the
         // window offers one — a no-change batch then costs one compare
-        // and zero clones. Backends without `with_frame` fall back to
-        // the snapshot clone.
-        let shipped = &self.shipped;
+        // of the written rows and zero clones. Backends without
+        // `with_frame` fall back to the snapshot clone and all rows.
+        let shipped = self.shipped.as_ref();
         let budget = self.cfg.dirty_budget_bytes;
+        let window = self.im.window_mut();
+        let rows = window.written_rows();
         let mut plan = None;
-        let borrowed = self.im.window_mut().with_frame(&mut |cur| {
-            plan = Some(plan_update(shipped.as_ref(), cur, budget));
+        let borrowed = window.with_frame(&mut |cur| {
+            plan = Some(plan_update(shipped, cur, rows.clone(), budget));
         });
         let plan = if borrowed {
             plan.expect("with_frame ran the closure")
         } else {
             let cur = self.current_fb();
-            plan_update(self.shipped.as_ref(), &cur, budget)
+            plan_update(self.shipped.as_ref(), &cur, 0..cur.height(), budget)
         };
         match plan {
             Plan::Keyframe => self.keyframe(),
@@ -629,7 +655,9 @@ impl HostedSession {
                 // Nothing changed on screen: ship a 13-byte empty
                 // update so pipelined clients still see one frame per
                 // batch, but leave the diff baseline and keyframe
-                // cadence alone.
+                // cadence alone. The baseline equals the screen, so
+                // the written rows start over.
+                self.im.window_mut().clear_written_rows();
                 self.collector.count("serve.frames", 1);
                 self.collector.count("serve.frames_unchanged", 1);
                 ServerFrame::Update {
@@ -637,12 +665,19 @@ impl HostedSession {
                     rects: Vec::new(),
                 }
             }
-            Plan::Update(cur, rects) => {
+            Plan::Update(rects) => {
+                let shipped = self
+                    .shipped
+                    .as_mut()
+                    .expect("an update diffs against a baseline");
+                for patch in &rects {
+                    shipped.put_rect(patch.rect, &patch.pixels);
+                }
+                self.im.window_mut().clear_written_rows();
                 let frame = ServerFrame::Update {
                     seq: self.seq,
                     rects,
                 };
-                self.shipped = Some(cur);
                 self.frames_since_key += 1;
                 self.collector.count("serve.frames", 1);
                 self.collector
@@ -687,21 +722,35 @@ enum Plan {
     Unchanged,
     /// Resize or blown budget — send everything.
     Keyframe,
-    /// Changed bands: the new baseline clone plus its patch rects.
-    Update(Framebuffer, Vec<PatchRect>),
+    /// Changed bands; applying them to the baseline brings it level
+    /// with the screen.
+    Update(Vec<PatchRect>),
 }
 
-/// Diff-or-degrade decision against the shipped baseline. `budget` is
-/// the dirty-byte ceiling; the estimate below is exactly the update
-/// frame's wire length (13-byte header, 16 bytes per rect header,
-/// 4 bytes per pixel), so the stats plane and the budget agree.
-fn plan_update(shipped: Option<&Framebuffer>, cur: &Framebuffer, budget: usize) -> Plan {
-    let diff = match shipped.and_then(|prev| prev.diff_region(cur)) {
-        Some(region) => region,
-        // Size changed (resize) — no diff across that. Same when no
-        // baseline exists yet.
-        None => return Plan::Keyframe,
+/// Diff-or-degrade decision against the shipped baseline, which can
+/// differ from `cur` only inside `rows`. `budget` is the dirty-byte
+/// ceiling; the estimate below is exactly the update frame's wire
+/// length (13-byte header, 16 bytes per rect header, 4 bytes per
+/// pixel), so the stats plane and the budget agree.
+fn plan_update(
+    shipped: Option<&Framebuffer>,
+    cur: &Framebuffer,
+    rows: Range<i32>,
+    budget: usize,
+) -> Plan {
+    // No baseline yet, or the size changed (resize) — no diff across
+    // either.
+    let Some(prev) = shipped else {
+        return Plan::Keyframe;
     };
+    let Some(diff) = prev.diff_rows(cur, rows) else {
+        return Plan::Keyframe;
+    };
+    debug_assert_eq!(
+        Some(&diff),
+        prev.diff_region(cur).as_ref(),
+        "the row-bounded diff must equal the full-frame diff"
+    );
     if diff.is_empty() {
         return Plan::Unchanged;
     }
@@ -723,7 +772,23 @@ fn plan_update(shipped: Option<&Framebuffer>, cur: &Framebuffer, budget: usize) 
             PatchRect { rect: r, pixels }
         })
         .collect();
-    Plan::Update(cur.clone(), rects)
+    Plan::Update(rects)
+}
+
+/// Brings the shipped baseline level with `cur`, which differs from it
+/// only inside `rows`: a row copy in place when the size still
+/// matches, a fresh clone otherwise (first keyframe, resize).
+fn refresh_baseline(shipped: &mut Option<Framebuffer>, cur: &Framebuffer, rows: Range<i32>) {
+    match shipped {
+        Some(base) if base.width() == cur.width() && base.height() == cur.height() => {
+            base.copy_rows_from(cur, rows);
+            debug_assert!(
+                base.pixels() == cur.pixels(),
+                "rows outside the written range changed"
+            );
+        }
+        _ => *shipped = Some(cur.clone()),
+    }
 }
 
 /// Collapses runs of consecutive pointer movements down to the last

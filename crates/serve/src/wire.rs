@@ -590,16 +590,27 @@ impl ServerFrame {
     }
 
     /// Encodes the frame body, choosing per frame between the raw
-    /// layout and the row-delta + RLE layout by comparing the actual
-    /// encoded sizes. Only pixel-bearing frames (`Update`, `Keyframe`)
-    /// ever choose [`Encoding::Rle`]; the compressed body decodes back
-    /// to the identical frame via [`ServerFrame::decode`], and old
-    /// clients that only know the raw tags are never sent compressed
-    /// frames unless they negotiated for them (the caller's choice).
+    /// layout and the row-delta + RLE layout by size. Only the RLE body
+    /// is built to compare: the raw size is [`ServerFrame::wire_len`],
+    /// and the raw body is encoded only when it ships. Only
+    /// pixel-bearing frames (`Update`, `Keyframe`) ever choose
+    /// [`Encoding::Rle`]; the compressed body decodes back to the
+    /// identical frame via [`ServerFrame::decode`], and old clients
+    /// that only know the raw tags are never sent compressed frames
+    /// unless they negotiated for them (the caller's choice).
     pub fn encode_packed(&self) -> (Vec<u8>, Encoding) {
-        let rle = match self {
+        match self.encode_rle() {
+            Some(rle) if rle.len() < self.wire_len() => (rle, Encoding::Rle),
+            _ => (self.encode(), Encoding::Raw),
+        }
+    }
+
+    /// The row-delta + RLE body of a pixel-bearing frame; `None` for
+    /// frames that only have the raw layout.
+    fn encode_rle(&self) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        match self {
             ServerFrame::Update { seq, rects } => {
-                let mut out = Vec::new();
                 out.push(TAG_UPDATE_RLE);
                 put_u64(&mut out, *seq);
                 put_u32(&mut out, rects.len() as u32);
@@ -610,7 +621,6 @@ impl ServerFrame {
                     put_u32(&mut out, patch.rect.height as u32);
                     put_rle_pixels(&mut out, &patch.pixels, patch.rect.width as usize);
                 }
-                out
             }
             ServerFrame::Keyframe {
                 seq,
@@ -618,22 +628,15 @@ impl ServerFrame {
                 height,
                 pixels,
             } => {
-                let mut out = Vec::new();
                 out.push(TAG_KEYFRAME_RLE);
                 put_u64(&mut out, *seq);
                 put_u32(&mut out, *width);
                 put_u32(&mut out, *height);
                 put_rle_pixels(&mut out, pixels, *width as usize);
-                out
             }
-            other => return (other.encode(), Encoding::Raw),
-        };
-        let raw = self.encode();
-        if rle.len() < raw.len() {
-            (rle, Encoding::Rle)
-        } else {
-            (raw, Encoding::Raw)
+            _ => return None,
         }
+        Some(out)
     }
 
     /// Encoded body size in bytes (what the wire will carry, minus the
@@ -808,6 +811,71 @@ mod tests {
         // Non-pixel frames are always raw.
         let (_, enc) = ServerFrame::Busy.encode_packed();
         assert_eq!(enc, Encoding::Raw);
+    }
+
+    /// Sizing the RLE body against `wire_len` picks exactly what
+    /// building both bodies and keeping the strictly smaller one picks,
+    /// byte for byte — ties (the empty update) stay raw.
+    #[test]
+    fn packed_choice_equals_building_both_bodies() {
+        let noise = |n: u32| -> Vec<u32> { (0..n).map(|i| i.wrapping_mul(2654435761)).collect() };
+        let patch = |rect: Rect, pixels: Vec<u32>| PatchRect { rect, pixels };
+        let frames = vec![
+            ServerFrame::Update {
+                seq: 9,
+                rects: Vec::new(),
+            },
+            ServerFrame::Update {
+                seq: 10,
+                rects: vec![patch(Rect::new(3, 4, 1, 1), vec![7])],
+            },
+            ServerFrame::Update {
+                seq: 11,
+                rects: vec![
+                    patch(Rect::new(0, 0, 20, 10), vec![0xFFFFFF; 200]),
+                    patch(Rect::new(0, 20, 8, 8), noise(64)),
+                ],
+            },
+            ServerFrame::Update {
+                seq: 12,
+                rects: vec![patch(Rect::new(0, 0, 16, 16), noise(256))],
+            },
+            ServerFrame::Keyframe {
+                seq: 13,
+                width: 32,
+                height: 24,
+                pixels: vec![0xABCDEF; 32 * 24],
+            },
+            ServerFrame::Keyframe {
+                seq: 14,
+                width: 16,
+                height: 16,
+                pixels: noise(256),
+            },
+            ServerFrame::Keyframe {
+                seq: 15,
+                width: 0,
+                height: 0,
+                pixels: Vec::new(),
+            },
+            ServerFrame::Bye {
+                reason: BYE_BYE.into(),
+            },
+        ];
+        let mut chose = Vec::new();
+        for f in frames {
+            let raw = f.encode();
+            let want = match f.encode_rle() {
+                Some(rle) if rle.len() < raw.len() => (rle, Encoding::Rle),
+                _ => (raw, Encoding::Raw),
+            };
+            let got = f.encode_packed();
+            assert_eq!(got, want, "{f:?}");
+            assert_eq!(ServerFrame::decode(&got.0).unwrap(), f);
+            chose.push(got.1);
+        }
+        use Encoding::{Raw, Rle};
+        assert_eq!(chose, [Raw, Raw, Rle, Raw, Rle, Raw, Raw, Raw]);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub enum Stage {
     Settle,
     /// The update pass: damage → draw.
     Paint,
-    /// Damage banding / frame assembly (`diff_region` or keyframe
-    /// pixel copy).
+    /// Damage banding / frame assembly (`diff_rows` over the written
+    /// rows, or the keyframe pixel copy).
     Diff,
     /// Encode and socket write of the outgoing frame.
     Ship,

@@ -6,6 +6,8 @@
 //! [`surface`](crate::surface) module records the exact routine list and
 //! its size.
 
+use std::ops::Range;
+
 use atk_graphics::{
     Color, FontDesc, FontMetrics, Framebuffer, Point, RasterOp, Rect, Region, Size,
 };
@@ -141,6 +143,19 @@ pub trait Window {
     fn with_frame(&self, _f: &mut dyn FnMut(&Framebuffer)) -> bool {
         false
     }
+
+    /// The rows written since the last [`Window::clear_written_rows`],
+    /// as a half-open range clamped to the frame, flushing any buffered
+    /// drawing first. Every pixel outside the range is unchanged since
+    /// that call, so a frame diff need read only these rows. Backends
+    /// that do not track writes report every row.
+    fn written_rows(&self) -> Range<i32> {
+        0..self.size().height.max(0)
+    }
+
+    /// Starts a new written-row interval: the caller's copy of the
+    /// frame equals the screen again.
+    fn clear_written_rows(&mut self) {}
 
     /// Replaces the window's contents with `frame` wholesale — the
     /// session-fork fast path. `frame` must match the window's size.

@@ -8,6 +8,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -114,6 +115,7 @@ impl Window for X11Window {
         self.size = size;
         *self.fb.borrow_mut() =
             Framebuffer::new(size.width.max(0), size.height.max(0), Color::WHITE);
+        self.graphic.mark_all_rows();
         self.events.push_back(WindowEvent::Resize(size));
         self.events
             .push_back(WindowEvent::Expose(Rect::at(Point::ORIGIN, size)));
@@ -174,12 +176,26 @@ impl Window for X11Window {
         true
     }
 
+    fn written_rows(&self) -> Range<i32> {
+        self.graphic.flush_pending();
+        let (lo, hi) = self.graphic.written.get();
+        let height = self.fb.borrow().height();
+        let y0 = lo.clamp(0, height);
+        y0..hi.clamp(y0, height)
+    }
+
+    fn clear_written_rows(&mut self) {
+        // No flush: commands still buffered are marked when they land.
+        self.graphic.written.set(NO_ROWS);
+    }
+
     fn adopt_frame(&mut self, frame: &Framebuffer) {
         // Flush first so no buffered command lands on top of the
         // adopted pixels, then row-copy into the buffer open_window
         // already allocated (and just warmed with its white fill) —
         // no per-pixel walk, no second allocation per fork.
         self.graphic.flush_pending();
+        self.graphic.mark_all_rows();
         let mut fb = self.fb.borrow_mut();
         fb.set_clip(None);
         if fb.width() == frame.width() && fb.height() == frame.height() {
@@ -238,12 +254,20 @@ struct RecState {
     stats: PaintStats,
 }
 
+/// The empty written-row interval (`lo > hi`, so any mark replaces it).
+const NO_ROWS: (i32, i32) = (i32::MAX, i32::MIN);
+
 /// The rasterizing drawable.
 pub struct X11Graphic {
     fb: Rc<RefCell<Framebuffer>>,
     st: GraphicState,
     ops: Rc<Cell<u64>>,
     rec: RefCell<RecState>,
+    /// Half-open row interval `(lo, hi)` written since the window last
+    /// cleared it (see [`Window::written_rows`]). Marked once per
+    /// drawing command — never per pixel — from the rows the command
+    /// can reach: its clip's bounding rows, or every row unclipped.
+    written: Cell<(i32, i32)>,
 }
 
 impl X11Graphic {
@@ -253,7 +277,21 @@ impl X11Graphic {
             st: GraphicState::new(),
             ops: Rc::new(Cell::new(0)),
             rec: RefCell::new(RecState::default()),
+            written: Cell::new(NO_ROWS),
         }
+    }
+
+    /// Widens the written-row interval to cover `[lo, hi)`.
+    fn mark_rows(&self, lo: i32, hi: i32) {
+        if lo >= hi {
+            return;
+        }
+        let (a, b) = self.written.get();
+        self.written.set((a.min(lo), b.max(hi)));
+    }
+
+    fn mark_all_rows(&self) {
+        self.mark_rows(i32::MIN, i32::MAX);
     }
 
     #[inline]
@@ -264,6 +302,13 @@ impl X11Graphic {
     /// Applies the state's clip to the framebuffer for the duration of a
     /// drawing call.
     fn with_fb<R>(&self, f: impl FnOnce(&mut Framebuffer) -> R) -> R {
+        match &self.st.clip {
+            Some(clip) => {
+                let bb = clip.bounding_box();
+                self.mark_rows(bb.y, bb.bottom());
+            }
+            None => self.mark_all_rows(),
+        }
         let mut fb = self.fb.borrow_mut();
         fb.set_clip(self.st.clip.clone());
         let r = f(&mut fb);
@@ -301,6 +346,11 @@ impl X11Graphic {
             return;
         }
         let cmds = std::mem::take(&mut rec.cmds);
+        // The banded replay writes only inside the commands' row
+        // extents (each already clamped to its clip).
+        for cmd in &cmds {
+            self.mark_rows(cmd.y_lo, cmd.y_hi);
+        }
         let threads = rec.threads.max(1);
         let mut fb = self.fb.borrow_mut();
         let t0 = Instant::now();
@@ -837,6 +887,175 @@ mod tests {
         });
         assert!(ok);
         assert_eq!(seen, 9);
+    }
+
+    type Primitive = Box<dyn Fn(&mut dyn Graphic)>;
+
+    /// One closure per `Graphic` drawing call, provided methods included.
+    fn primitives(bits: Framebuffer) -> Vec<(&'static str, Primitive)> {
+        vec![
+            (
+                "draw_line",
+                Box::new(|g| g.draw_line(Point::new(3, 2), Point::new(190, 150))),
+            ),
+            (
+                "line_to",
+                Box::new(|g| {
+                    g.move_to(Point::new(5, 150));
+                    g.line_to(Point::new(150, 10));
+                }),
+            ),
+            (
+                "draw_rect",
+                Box::new(|g| g.draw_rect(Rect::new(4, 4, 180, 140))),
+            ),
+            (
+                "fill_rect",
+                Box::new(|g| g.fill_rect(Rect::new(0, 0, 200, 160))),
+            ),
+            (
+                "clear_rect",
+                Box::new(|g| g.clear_rect(Rect::new(10, 10, 150, 140))),
+            ),
+            (
+                "draw_oval",
+                Box::new(|g| g.draw_oval(Rect::new(5, 5, 180, 150))),
+            ),
+            (
+                "fill_oval",
+                Box::new(|g| g.fill_oval(Rect::new(5, 5, 180, 150))),
+            ),
+            (
+                "fill_polygon",
+                Box::new(|g| {
+                    g.fill_polygon(&[Point::new(0, 0), Point::new(190, 80), Point::new(10, 159)])
+                }),
+            ),
+            (
+                "fill_wedge",
+                Box::new(|g| g.fill_wedge(Rect::new(0, 0, 200, 160), 20.0, 300.0)),
+            ),
+            (
+                "draw_string",
+                Box::new(|g| g.draw_string(Point::new(4, 50), "tracked rows")),
+            ),
+            (
+                "draw_string_baseline",
+                Box::new(|g| g.draw_string_baseline(Point::new(4, 60), "baseline")),
+            ),
+            (
+                "bitblt",
+                Box::new(move |g| g.bitblt(&bits, bits.bounds(), Point::new(20, 20))),
+            ),
+            (
+                "copy_area",
+                Box::new(|g| {
+                    g.fill_rect(Rect::new(0, 0, 40, 160));
+                    g.copy_area(Rect::new(0, 0, 40, 160), Point::new(100, 0));
+                }),
+            ),
+            (
+                "draw_string_centered",
+                Box::new(|g| g.draw_string_centered(Rect::new(0, 40, 200, 30), "centered")),
+            ),
+            (
+                "draw_string_right",
+                Box::new(|g| g.draw_string_right(Rect::new(0, 45, 200, 20), "right")),
+            ),
+            (
+                "draw_border",
+                Box::new(|g| g.draw_border(Rect::new(2, 2, 190, 150))),
+            ),
+            (
+                "draw_bezel",
+                Box::new(|g| g.draw_bezel(Rect::new(2, 30, 190, 60), true)),
+            ),
+            (
+                "invert_rect",
+                Box::new(|g| g.invert_rect(Rect::new(0, 0, 200, 160))),
+            ),
+            (
+                "draw_hline_dashed",
+                Box::new(|g| g.draw_hline_dashed(55, 0, 199, 4)),
+            ),
+        ]
+    }
+
+    /// Runs `draw` on a window whose written rows were just cleared and
+    /// checks the full diff it caused lies inside the reported rows.
+    fn check_rows_cover_diff(w: &mut dyn Window, what: &str, draw: impl FnOnce(&mut dyn Window)) {
+        let before = w.snapshot().unwrap();
+        w.clear_written_rows();
+        draw(w);
+        let rows = w.written_rows();
+        let after = w.snapshot().unwrap();
+        match before.diff_region(&after) {
+            Some(diff) => {
+                assert!(!diff.is_empty(), "{what}: drew nothing");
+                let bb = diff.bounding_box();
+                assert!(
+                    rows.start <= bb.y && bb.bottom() <= rows.end,
+                    "{what}: diff rows {}..{} escape reported {rows:?}",
+                    bb.y,
+                    bb.bottom()
+                );
+            }
+            None => assert_eq!(rows, 0..after.height(), "{what}: resized"),
+        }
+    }
+
+    #[test]
+    fn written_rows_cover_every_primitive_clipped_and_banded() {
+        let _guard = PAINT_SWITCH.lock().unwrap();
+        let mut ws = X11Sim::new();
+        let mut off = ws.open_offscreen(Size::new(30, 30));
+        off.graphic().fill_oval(Rect::new(0, 0, 30, 30));
+        let clip = Rect::new(0, 40, 200, 30);
+        for threads in [1, 4] {
+            for clipped in [false, true] {
+                for (name, prim) in primitives(off.bits()) {
+                    let mut w = ws.open_window("t", Size::new(200, 160));
+                    w.set_paint_threads(threads);
+                    w.graphic().set_foreground(Color::rgb(90, 90, 90));
+                    w.graphic().fill_rect(Rect::new(0, 0, 200, 160));
+                    w.graphic().set_foreground(Color::RED);
+                    let what = format!("{name} threads={threads} clipped={clipped}");
+                    check_rows_cover_diff(w.as_mut(), &what, |w| {
+                        let g = w.graphic();
+                        g.gsave();
+                        if clipped {
+                            g.clip_rect(clip);
+                        }
+                        prim(g);
+                        g.grestore();
+                    });
+                    if clipped {
+                        // Tracking is bounded, not just safe.
+                        let rows = w.written_rows();
+                        assert!(rows.start >= clip.y && rows.end <= clip.bottom(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn written_rows_cover_adopt_frame_and_resize() {
+        let mut w = window();
+        let mut frame = Framebuffer::new(100, 80, Color::WHITE);
+        frame.fill_rect(Rect::new(0, 79, 100, 1), Color::BLACK);
+        frame.set(0, 0, Color::BLACK);
+        check_rows_cover_diff(w.as_mut(), "adopt_frame", |w| w.adopt_frame(&frame));
+        assert_eq!(w.written_rows(), 0..80);
+        check_rows_cover_diff(w.as_mut(), "resize", |w| w.resize(Size::new(50, 40)));
+        assert_eq!(w.written_rows(), 0..40);
+        // Clearing starts an empty interval; a clipped-out draw adds none.
+        w.clear_written_rows();
+        assert!(w.written_rows().is_empty());
+        let g = w.graphic();
+        g.clip_rect(Rect::new(0, 0, 0, 0));
+        g.fill_rect(Rect::new(0, 0, 50, 40));
+        assert!(w.written_rows().is_empty());
     }
 
     #[test]

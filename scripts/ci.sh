@@ -11,6 +11,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench's own tests (planted mismatch, determinism)"
+# The benchmark is its own package on the serve crate's public API, so
+# this also catches API drift the workspace build cannot see.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> runcheck smoke (fixed seed, all oracles)"
 cargo run --release -q -p atk-check --bin runcheck -- \
     --seed 42 --steps 500 --scene fig1,fig3,fig5 --oracle all
