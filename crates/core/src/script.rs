@@ -204,25 +204,76 @@ impl EventScript {
         out
     }
 
-    /// Runs every step through the interaction manager. A `menu select`
-    /// re-requests the menu at the position the preceding `menu
-    /// request` line recorded (origin when the script never recorded
-    /// one), so replays pop the menu where the user did.
+    /// Runs every step through the interaction manager, settling after
+    /// each one ([`StepReplayer::apply`]).
     pub fn run(&self, im: &mut InteractionManager, world: &mut World) {
-        let mut last_menu_pos = Point::ORIGIN;
+        let mut replayer = StepReplayer::default();
         for step in &self.steps {
-            match step {
-                ScriptStep::Event(ev) => {
-                    if let WindowEvent::MenuRequest { pos } = ev {
-                        last_menu_pos = *pos;
-                    }
-                    im.feed(world, ev.clone());
+            replayer.apply(im, world, step);
+        }
+    }
+}
+
+/// The one path script steps take into an interaction manager, shared
+/// by scripted runs, the fuzzer's sessions and the served sessions.
+///
+/// A `menu select` step re-requests the menu at the position the most
+/// recent `MenuRequest` recorded (the origin before any request), so a
+/// replay pops the menu where the user did, then selects the item and
+/// pumps.
+#[derive(Debug, Clone, Default)]
+pub struct StepReplayer {
+    last_menu_pos: Point,
+    /// Events posted since the last pump.
+    posted: bool,
+}
+
+impl StepReplayer {
+    /// Posts one step without settling. A plain event is only posted; a
+    /// menu select first pumps whatever is posted, then pops the menu
+    /// at the last request position, selects and pumps.
+    pub fn post(&mut self, im: &mut InteractionManager, world: &mut World, step: &ScriptStep) {
+        match step {
+            ScriptStep::Event(ev) => {
+                if let WindowEvent::MenuRequest { pos } = ev {
+                    self.last_menu_pos = *pos;
                 }
-                ScriptStep::MenuSelect(label) => {
-                    im.feed(world, WindowEvent::MenuRequest { pos: last_menu_pos });
-                    im.select_menu(world, label);
+                im.window_mut().post_event(ev.clone());
+                self.posted = true;
+            }
+            ScriptStep::MenuSelect(label) => {
+                if self.posted {
                     im.pump(world);
                 }
+                im.feed(
+                    world,
+                    WindowEvent::MenuRequest {
+                        pos: self.last_menu_pos,
+                    },
+                );
+                im.select_menu(world, label);
+                im.pump(world);
+                self.posted = false;
+            }
+        }
+    }
+
+    /// [`StepReplayer::post`], then a pump when events are left posted:
+    /// one step, fully settled.
+    pub fn apply(&mut self, im: &mut InteractionManager, world: &mut World, step: &ScriptStep) {
+        self.post(im, world, step);
+        if std::mem::take(&mut self.posted) {
+            im.pump(world);
+        }
+    }
+
+    /// Dispatches the posted events without settling: the first part
+    /// of a pump, for callers that time dispatch, settle and paint
+    /// apart.
+    pub fn dispatch_posted(&mut self, im: &mut InteractionManager, world: &mut World) {
+        if std::mem::take(&mut self.posted) {
+            while let Some(ev) = im.window_mut().next_event() {
+                im.dispatch(world, ev);
             }
         }
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N]
 //!         [--profile mixed|typing|collab] [--window N]
-//!         [--connect HOST:PORT] [--mem] [--shards N] [--thread-per-conn]
+//!         [--connect HOST:PORT] [--mem] [--shards N]
 //!         [--docs N] [--writers N] [--watchers N] [--arrival RATE]
 //!         [--rendezvous] [--min-concurrent N] [--faults SEED]
 //!         [--disconnect-every N] [--max-sessions N] [--queue-cap N]
@@ -19,8 +19,8 @@
 //! drops exceed `--max-drops`, or when the server's observed peak
 //! concurrency falls short of `--min-concurrent`.
 //!
-//! Scale and chaos: `--shards N` hosts the fleet on the event-driven
-//! shard engine (`--thread-per-conn` is the ablation baseline),
+//! Scale and chaos: `--shards N` hosts the fleet on N (at least 1)
+//! event-driven worker shards,
 //! `--arrival R` paces an open-loop ramp of R connects/s,
 //! `--rendezvous` holds every client at a barrier until the whole
 //! fleet is connected, `--faults SEED` wraps each `--mem` transport in
@@ -58,7 +58,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--sessions N] [--steps N] [--scene NAME] [--seed N] \
          [--profile mixed|typing|collab] [--window N] [--connect HOST:PORT] \
-         [--mem] [--shards N] [--thread-per-conn] [--docs N] [--writers N] \
+         [--mem] [--shards N] [--docs N] [--writers N] \
          [--watchers N] [--arrival RATE] [--rendezvous] [--min-concurrent N] \
          [--faults SEED] [--disconnect-every N] [--max-sessions N] \
          [--queue-cap N] [--keyframe-only] [--max-drops N] [--slo-us N] \
@@ -136,11 +136,11 @@ fn main() {
             }
             "--shards" => {
                 cfg.shards = parse_num("--shards", argv.get(i + 1));
+                if cfg.shards == 0 {
+                    eprintln!("loadgen: --shards needs at least 1");
+                    usage();
+                }
                 i += 2;
-            }
-            "--thread-per-conn" => {
-                cfg.shards = 0;
-                i += 1;
             }
             "--docs" => {
                 cfg.docs = parse_num("--docs", argv.get(i + 1));

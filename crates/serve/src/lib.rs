@@ -22,8 +22,7 @@
 //! Template builds and fork costs count on the server plane
 //! (`world.template_builds`, `world.forks`, `world.fork_us`,
 //! `world.fork_shared_bytes`), never on the forked session's own
-//! collector. `--no-fork` is the cold-boot ablation; only the shard
-//! engine forks — the thread-per-connection path always builds cold.
+//! collector. `--no-fork` is the cold-boot ablation.
 //!
 //! The pieces:
 //!
@@ -34,12 +33,12 @@
 //! * [`session`] — one hosted session: batch coalescing, region
 //!   diffing against the last shipped frame, keyframe cadence/budget,
 //!   idle eviction on the session's own virtual clock
-//! * [`server`] — admission control plus both dispatch paths: the
-//!   event-driven shard engine and the legacy thread-per-connection
-//!   loop (the `World` is `!Send`; sessions are born and die on one
-//!   thread either way)
-//! * [`shard`] — the worker-shard readiness loop: one thread hosting
-//!   many sessions, fed by an mpsc admission queue
+//! * [`server`] — admission control, the stats plane, and the
+//!   per-batch semantics every session runs through
+//! * [`shard`] — the only dispatcher: worker-shard readiness loops,
+//!   each one thread hosting many sessions (the `World` is `!Send`, so
+//!   a session is born and dies on its shard), fed by an mpsc
+//!   admission queue
 //! * [`client`] — the client half: framebuffer reconstruction plus
 //!   latency/byte accounting
 //! * [`oracle`] — served-vs-in-process, sharded-vs-single, and
@@ -90,10 +89,10 @@ pub use client::{ClientError, ClientStats, ServeClient};
 pub use fault::{FaultPlan, FaultTransport};
 pub use loadgen::{run_loadgen, run_loadgen_mem, LoadConfig, LoadReport, Profile};
 pub use oracle::{
-    collab_differential, encode_differential, run_sharded, serve_differential,
-    serve_differential_with, serve_script_differential, CollabRun, ShardedRun,
+    collab_differential, collab_script_differential, encode_differential, run_sharded,
+    serve_differential, serve_differential_with, serve_script_differential, CollabRun, ShardedRun,
 };
-pub use server::{serve_listener, serve_listener_sharded, ConnectionOutcome, Server, ServerConfig};
+pub use server::{serve_listener, Server, ServerConfig};
 pub use session::{HostedSession, SessionConfig, SessionEnd};
 pub use transport::{FrameTransport, MemTransport, TcpTransport};
 pub use wire::{ClientFrame, Encoding, PatchRect, ServerFrame, WireError};

@@ -8,9 +8,8 @@
 //! bursts actually reach the server-side batch coalescer without
 //! unbounded frames piling up in flight.
 //!
-//! Scale knobs: [`LoadConfig::shards`] hosts the fleet on the
-//! event-driven shard engine (0 falls back to thread-per-connection,
-//! the E15 ablation baseline); [`LoadConfig::arrival_per_s`] paces an
+//! Scale knobs: [`LoadConfig::shards`] sets how many worker shards
+//! host the fleet; [`LoadConfig::arrival_per_s`] paces an
 //! open-loop arrival ramp instead of connecting everyone at t=0;
 //! [`LoadConfig::rendezvous`] parks every connected client at a
 //! barrier until the whole fleet is live, making "N concurrent
@@ -35,7 +34,7 @@ use atk_wm::{Key, WindowEvent};
 
 use crate::client::{ClientStats, ServeClient};
 use crate::fault::{FaultPlan, FaultTransport};
-use crate::server::{serve_listener, serve_listener_sharded, Server, ServerConfig};
+use crate::server::{serve_listener, Server, ServerConfig};
 use crate::transport::{FrameTransport, MemTransport, TcpTransport};
 
 /// What steps the clients replay.
@@ -91,8 +90,8 @@ pub struct LoadConfig {
     pub stats_probe: bool,
     /// Server-side config when self-hosting.
     pub server: ServerConfig,
-    /// Worker shards hosting the fleet (0 = the legacy thread-per-
-    /// connection path, kept as the E15 ablation baseline).
+    /// Worker shards hosting the fleet ([`Server::start_shards`] starts
+    /// at least one).
     pub shards: usize,
     /// Open-loop arrival rate: client `i` connects at `i / rate`
     /// seconds instead of everyone at t=0. `0.0` disables pacing.
@@ -765,13 +764,7 @@ pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
                 .to_string();
             let srv = server.clone();
             let shards = cfg.shards;
-            thread::spawn(move || {
-                let _ = if shards > 0 {
-                    serve_listener_sharded(srv, listener, shards)
-                } else {
-                    serve_listener(srv, listener)
-                };
-            });
+            thread::spawn(move || serve_listener(srv, listener, shards));
             addr
         }
     };
@@ -855,39 +848,26 @@ pub fn run_loadgen(cfg: &LoadConfig) -> Result<LoadReport, String> {
 /// Runs the fleet over in-memory transports instead of TCP — the bench
 /// harness uses this to measure serving cost without socket noise, and
 /// the chaos stage uses it because only here can both transport halves
-/// carry a [`FaultTransport`]. Sessions land on the shard engine
-/// (`cfg.shards > 0`, via [`Server::admit`]) or on one server thread
-/// each (the ablation path); one client thread per session either way.
+/// carry a [`FaultTransport`]. Sessions land on the shards via
+/// [`Server::admit`]; one client thread per session.
 pub fn run_loadgen_mem(cfg: &LoadConfig) -> Result<LoadReport, String> {
     let collector = Arc::new(Collector::new());
     collector.enable();
     let server = Server::new(cfg.server.clone(), collector.clone());
-    if cfg.shards > 0 {
-        server.start_shards(cfg.shards);
-    }
+    server.start_shards(cfg.shards);
 
     if cfg.profile == Profile::Collab {
         let srv = server.clone();
         let fault_seed = cfg.fault_seed;
-        let sharded = cfg.shards > 0;
         let connect = Arc::new(move |i: usize| -> Result<Box<dyn FrameTransport>, String> {
             let (client_half, server_half) = MemTransport::pair();
-            if sharded {
-                let t: Box<dyn FrameTransport> = if fault_seed.is_some() {
-                    Box::new(FaultTransport::new(server_half, FaultPlan::passthrough()))
-                } else {
-                    Box::new(server_half)
-                };
-                if srv.admit(t).is_err() {
-                    return Err("server busy: no shard accepting".into());
-                }
-            } else if fault_seed.is_some() {
-                let t = FaultTransport::new(server_half, FaultPlan::passthrough());
-                let srv = srv.clone();
-                thread::spawn(move || srv.serve_connection(t));
+            let t: Box<dyn FrameTransport> = if fault_seed.is_some() {
+                Box::new(FaultTransport::new(server_half, FaultPlan::passthrough()))
             } else {
-                let srv = srv.clone();
-                thread::spawn(move || srv.serve_connection(server_half));
+                Box::new(server_half)
+            };
+            if srv.admit(t).is_err() {
+                return Err("server busy: no shard accepting".into());
             }
             Ok(match fault_seed {
                 Some(seed) => Box::new(FaultTransport::new(
@@ -919,33 +899,24 @@ pub fn run_loadgen_mem(cfg: &LoadConfig) -> Result<LoadReport, String> {
             let delay = arrival_delay(cfg, i);
             let cut = cut_point(cfg, i);
             let fault = cfg.fault_seed.map(|s| s ^ i as u64);
-            let sharded = cfg.shards > 0;
             thread::spawn(move || {
                 if let Some(d) = delay {
                     thread::sleep(d);
                 }
                 let (client_half, server_half) = MemTransport::pair();
-                // Server half: queued on a shard, or given its own
-                // thread on the ablation path. Faulted runs wrap BOTH
+                // Server half: queued on a shard. Faulted runs wrap BOTH
                 // halves (the server's is passthrough) so the
                 // byte-stream re-framing stays symmetric.
-                if sharded {
-                    let t: Box<dyn FrameTransport> = if fault.is_some() {
-                        Box::new(FaultTransport::new(server_half, FaultPlan::passthrough()))
-                    } else {
-                        Box::new(server_half)
-                    };
-                    if srv.admit(t).is_err() {
-                        if let Some(b) = &barrier {
-                            b.wait();
-                        }
-                        return Err("server busy: no shard accepting".into());
-                    }
-                } else if fault.is_some() {
-                    let t = FaultTransport::new(server_half, FaultPlan::passthrough());
-                    thread::spawn(move || srv.serve_connection(t));
+                let t: Box<dyn FrameTransport> = if fault.is_some() {
+                    Box::new(FaultTransport::new(server_half, FaultPlan::passthrough()))
                 } else {
-                    thread::spawn(move || srv.serve_connection(server_half));
+                    Box::new(server_half)
+                };
+                if srv.admit(t).is_err() {
+                    if let Some(b) = &barrier {
+                        b.wait();
+                    }
+                    return Err("server busy: no shard accepting".into());
                 }
                 match fault {
                     Some(seed) => drive(
@@ -973,17 +944,10 @@ pub fn run_loadgen_mem(cfg: &LoadConfig) -> Result<LoadReport, String> {
     let mut report = aggregate(started, handles)?;
     if cfg.stats_probe {
         let (client_half, server_half) = MemTransport::pair();
-        if cfg.shards > 0 {
-            server
-                .admit(Box::new(server_half))
-                .map_err(|_| "stats probe: no shard accepting".to_string())?;
-            report.stats_reply = Some(probe_stats(client_half, &cfg.scene)?);
-        } else {
-            let srv = server.clone();
-            let t = thread::spawn(move || srv.serve_connection(server_half));
-            report.stats_reply = Some(probe_stats(client_half, &cfg.scene)?);
-            let _ = t.join();
-        }
+        server
+            .admit(Box::new(server_half))
+            .map_err(|_| "stats probe: no shard accepting".to_string())?;
+        report.stats_reply = Some(probe_stats(client_half, &cfg.scene)?);
     }
     // Quiesce before reading counters: joining the shard threads
     // guarantees every in-flight close has landed in its collector.
@@ -1004,10 +968,7 @@ fn probe_stats<T: FrameTransport>(transport: T, scene: &str) -> Result<(String, 
 /// Renders the report the way the bin prints it (and CI greps it).
 pub fn format_report(cfg: &LoadConfig, r: &LoadReport) -> String {
     let mut out = String::new();
-    let dispatch = match cfg.shards {
-        0 => "thread-per-conn".to_string(),
-        n => format!("{n} shard(s)"),
-    };
+    let dispatch = format!("{} shard(s)", cfg.shards.max(1));
     if cfg.profile == Profile::Collab {
         out.push_str(&format!(
             "loadgen: {} doc(s) x ({} writers + {} watchers) x {} merged steps on {} \

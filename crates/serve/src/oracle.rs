@@ -17,7 +17,6 @@
 //! place shard count is allowed to leave a mark.
 
 use std::sync::Arc;
-use std::thread;
 
 use atk_check::gen::{interleaved_script, StepGen};
 use atk_check::Session;
@@ -28,7 +27,7 @@ use atk_trace::Collector;
 use crate::client::ServeClient;
 use crate::fault::{FaultPlan, FaultTransport};
 use crate::server::{Server, ServerConfig};
-use crate::session::{HostedSession, SessionConfig};
+use crate::session::SessionConfig;
 use crate::transport::{FrameTransport, MemTransport};
 
 /// The outcome of one oracle run.
@@ -233,17 +232,38 @@ pub fn collab_differential(
     fault_seed: Option<u64>,
 ) -> Result<CollabRun, String> {
     let script = interleaved_script(scene, seed, writers, steps)?;
+    collab_script_differential(scene, &script, writers, watchers, shards, fault_seed)
+        .map_err(|e| format!("seed {seed}: {e}"))
+}
 
-    // In-process reference: one session applying the merged order with
-    // replica semantics (per-op settle + paint, no wire).
-    let ref_collector = Arc::new(Collector::new());
-    ref_collector.enable();
-    let mut reference =
-        HostedSession::open(scene, SessionConfig::default(), ref_collector.clone())?;
-    let merged: Vec<ScriptStep> = script.iter().map(|(_, s)| s.clone()).collect();
-    reference.replay_steps(&merged);
-    let want_fb = reference.framebuffer();
-    let want_counters = strip_serve_plane(ref_collector.snapshot().counters);
+/// [`collab_differential`] over an already-recorded interleaving:
+/// `(writer, step)` pairs in log order.
+///
+/// # Errors
+///
+/// See [`collab_differential`].
+pub fn collab_script_differential(
+    scene: &str,
+    script: &[(usize, ScriptStep)],
+    writers: usize,
+    watchers: usize,
+    shards: usize,
+    fault_seed: Option<u64>,
+) -> Result<CollabRun, String> {
+    if let Some((w, _)) = script.iter().find(|(w, _)| *w >= writers) {
+        return Err(format!("script names writer {w} of {writers}"));
+    }
+    // In-process reference: one session applying the merged order one
+    // settled step at a time, no wire.
+    let mut reference = Session::build(scene, "x11sim")?;
+    for (_, step) in script {
+        reference.apply(step);
+    }
+    let want_fb = reference
+        .im
+        .snapshot()
+        .ok_or("reference backend has no pixels")?;
+    let want_counters = strip_serve_plane(reference.world.collector().snapshot().counters);
 
     // Replicated run: one doc, every replica attached before the first
     // edit, writers serialized through the log in script order.
@@ -257,7 +277,7 @@ pub fn collab_differential(
     };
     let server = Server::new(server_cfg, collector);
     server.start_shards(shards.max(1));
-    let doc_id = format!("oracle-{seed}");
+    let doc_id = "oracle";
 
     let replicas = writers + watchers;
     let mut clients: Vec<ServeClient<Box<dyn FrameTransport>>> = Vec::with_capacity(replicas);
@@ -279,7 +299,7 @@ pub fn collab_differential(
         };
         // Only the first attacher names the scene; joiners inherit it.
         let offered = (i == 0).then_some(scene);
-        let client = ServeClient::attach(client_t, &doc_id, offered)
+        let client = ServeClient::attach(client_t, doc_id, offered)
             .map_err(|e| format!("replica {i}: attach: {e}"))?;
         clients.push(client);
     }
@@ -324,7 +344,7 @@ pub fn collab_differential(
                 .filter(|(a, b)| a != b)
                 .count();
             return Err(format!(
-                "{scene} seed {seed}: replica {i} diverges from the in-process \
+                "{scene}: replica {i} diverges from the in-process \
                  reference ({differing} differing pixels of {})",
                 want_fb.pixels().len()
             ));
@@ -342,7 +362,7 @@ pub fn collab_differential(
         let got = strip_serve_plane(snap.counters);
         if got != want_counters {
             return Err(format!(
-                "{scene} seed {seed}: {name} counter plane diverges from the \
+                "{scene}: {name} counter plane diverges from the \
                  in-process reference:\n  want {want_counters:?}\n  got  {got:?}"
             ));
         }
@@ -350,7 +370,7 @@ pub fn collab_differential(
     }
     if counter_planes != replicas {
         return Err(format!(
-            "{scene} seed {seed}: expected {replicas} retained replica counter \
+            "{scene}: expected {replicas} retained replica counter \
              planes, found {counter_planes}"
         ));
     }
@@ -393,21 +413,24 @@ pub fn serve_script_differential(
         .snapshot()
         .ok_or("reference backend has no pixels")?;
 
-    // Served run over the in-memory transport, synchronous stepping.
+    // Served run: one forked session on a one-shard server over the
+    // in-memory transport, synchronous stepping. The collector is on so
+    // the shard counts any connection it fails.
     let collector = Arc::new(Collector::new());
+    collector.enable();
     let server_cfg = ServerConfig {
         session: session_cfg,
         ..ServerConfig::default()
     };
     let server = Server::new(server_cfg, collector);
+    server.start_shards(1);
     let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let server_thread = thread::spawn(move || srv.serve_connection(server_half));
+    server
+        .admit(Box::new(server_half))
+        .map_err(|_| "no shard accepting")?;
 
-    let scene_name = scene.to_string();
     let run = (|| -> Result<_, String> {
-        let mut client =
-            ServeClient::connect(client_half, &scene_name).map_err(|e| e.to_string())?;
+        let mut client = ServeClient::connect(client_half, scene).map_err(|e| e.to_string())?;
         for step in recorded {
             client.step_sync(step).map_err(|e| e.to_string())?;
             if client.ended() {
@@ -418,10 +441,11 @@ pub fn serve_script_differential(
         let stats = client.finish().map_err(|e| e.to_string())?;
         Ok((got, stats))
     })();
-    let outcome = server_thread.join().map_err(|_| "server thread panicked")?;
+    server.shutdown_shards();
     let (got, stats) = run?;
-    if let crate::server::ConnectionOutcome::Failed(e) = outcome {
-        return Err(format!("server connection failed: {e}"));
+    let failures = server.merged_snapshot().counter("serve.shard.failures");
+    if failures > 0 {
+        return Err(format!("{failures} server connection(s) failed"));
     }
 
     // Compare dimensions and pixels (not the whole struct — a leftover

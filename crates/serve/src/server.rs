@@ -1,30 +1,27 @@
-//! The multi-session server: admission control plus two dispatch
-//! paths — the event-driven shard engine (the default at scale) and
-//! the original thread-per-connection loop (kept as the E15 ablation
-//! baseline).
+//! The multi-session server: admission control, the server-wide stats
+//! plane, and the per-batch semantics the shard engine
+//! ([`crate::shard`]) runs every session through.
 //!
-//! Either way a session's `World` is born, lives, and dies on one
-//! thread, because it is deliberately `!Send` (views hold `Rc` handles
-//! to the window framebuffer). Under shards that thread hosts *many*
-//! sessions behind a poll-style readiness loop (see [`crate::shard`]);
-//! under the blocking path it hosts exactly one. Only the transport
-//! halves and the shared counters cross threads, which is the same
-//! discipline the paper's window-system connection imposed: the
-//! display protocol travels, the application state does not.
+//! A session's `World` is born, lives, and dies on one shard thread,
+//! because it is deliberately `!Send` (views hold `Rc` handles to the
+//! window framebuffer); each shard hosts many sessions behind a
+//! poll-style readiness loop. Only the transport halves and the shared
+//! counters cross threads, which is the same discipline the paper's
+//! window-system connection imposed: the display protocol travels, the
+//! application state does not.
 //!
-//! Both paths funnel every batch through [`Server::finish_batch`], so
-//! backpressure, shipping, stats replies, and goodbye semantics cannot
-//! diverge between them — the sharded-vs-single differential oracle
-//! (`tests/shard_differential.rs`) then proves the remaining dispatch
-//! machinery equivalent byte-for-byte.
+//! Every batch goes through [`Server::finish_batch`], so backpressure,
+//! shipping, stats replies, and goodbye semantics live in one place;
+//! the sharded-vs-single differential oracle
+//! (`tests/shard_differential.rs`) proves shard count invisible
+//! byte-for-byte.
 
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread;
 
-use atk_collab::DocRegistry;
+use atk_collab::{DocRegistry, Op};
 use atk_core::ScriptStep;
 use atk_trace::{
     snapshot_json, text_summary, Collector, FrameTrace, SlowFrameLog, Snapshot, Stage,
@@ -33,7 +30,7 @@ use atk_trace::{
 use crate::session::{HostedSession, SessionConfig, SessionEnd};
 use crate::shard::ShardHandle;
 use crate::transport::{FrameTransport, TcpTransport};
-use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_BYE, BYE_CLOSED, BYE_IDLE};
+use crate::wire::{ClientFrame, ServerFrame, BYE_BYE, BYE_CLOSED, BYE_IDLE};
 
 /// Span-ring capacity of each per-session collector (smaller than the
 /// default: N sessions each hold one of these).
@@ -69,9 +66,8 @@ pub struct ServerConfig {
     pub readiness_shuffle_seed: Option<u64>,
     /// Fork sessions from pre-warmed per-shard template worlds instead
     /// of building every scene from scratch. On by default; the
-    /// `--no-fork` ablation turns it off. Only the sharded dispatcher
-    /// forks — the blocking thread-per-connection path always builds
-    /// cold (it has no shard to pin a template registry to).
+    /// `--no-fork` ablation turns it off. Each shard pins its own
+    /// template registry to its thread.
     pub fork: bool,
 }
 
@@ -86,20 +82,6 @@ impl Default for ServerConfig {
             fork: true,
         }
     }
-}
-
-/// What a finished connection amounted to, for logs and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConnectionOutcome {
-    /// Rejected by admission control.
-    Rejected,
-    /// Session ran and ended in an orderly way.
-    Served {
-        /// Steps consumed over the session's life.
-        steps: u64,
-    },
-    /// Transport or protocol failure ended the session.
-    Failed(String),
 }
 
 /// The shared server state: counters plus config. Cheap to clone into
@@ -183,7 +165,7 @@ impl Server {
 
     /// Claims one admission slot and updates the lifecycle counters.
     /// `false` means the server is full: count the reject and send
-    /// `Busy`. Both dispatch paths admit through here.
+    /// `Busy`.
     pub(crate) fn try_claim_slot(&self) -> bool {
         let claimed = self
             .active
@@ -318,89 +300,11 @@ impl Server {
         }
     }
 
-    /// Runs one connection to completion on the calling thread.
-    pub fn serve_connection<T: FrameTransport>(&self, mut t: T) -> ConnectionOutcome {
-        match self.run_connection(&mut t) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // Best-effort goodbye; the transport may already be gone.
-                let _ = t.send(
-                    &ServerFrame::Error {
-                        message: e.to_string(),
-                    }
-                    .encode(),
-                );
-                ConnectionOutcome::Failed(e.to_string())
-            }
-        }
-    }
-
-    fn run_connection<T: FrameTransport>(
-        &self,
-        t: &mut T,
-    ) -> Result<ConnectionOutcome, Box<dyn std::error::Error>> {
-        let first = ClientFrame::decode(&t.recv()?)?;
-        if !matches!(
-            first,
-            ClientFrame::Hello { .. } | ClientFrame::Attach { .. }
-        ) {
-            return Err(Box::new(WireError::BadTag(0)));
-        }
-
-        // Admission: claim a slot or turn the client away politely.
-        if !self.try_claim_slot() {
-            t.send(&ServerFrame::Busy.encode())?;
-            return Ok(ConnectionOutcome::Rejected);
-        }
-        let guard = SlotGuard(self);
-
-        let session_id = self.next_session_id();
-        let session_collector = self.open_session_collector(session_id);
-        // Unregisters the collector and folds its totals into the
-        // retired accumulator on every exit path, error or orderly.
-        let _retire = RetireGuard {
-            server: self,
-            session_id,
-            collector: session_collector.clone(),
-        };
-        // The blocking path builds cold: sessions live on ephemeral
-        // connection threads, so there is no long-lived thread to pin a
-        // template registry (and its `!Send` worlds) to.
-        let mut session = match self.open_hosted(&first, session_collector, None) {
-            Ok(s) => s,
-            Err(e) => {
-                t.send(&ServerFrame::Error { message: e }.encode())?;
-                return Ok(ConnectionOutcome::Served { steps: 0 });
-            }
-        };
-        session.set_session_id(session_id);
-        session.set_slow_log(self.slow_log.clone());
-        let (width, height) = session.size();
-        t.send(
-            &ServerFrame::Welcome {
-                session_id,
-                width,
-                height,
-            }
-            .encode(),
-        )?;
-        let initial = session.initial_keyframe();
-        t.send(&session.encode_frame(&initial))?;
-
-        let outcome = if session.is_attached() {
-            self.attached_loop(t, &mut session)
-        } else {
-            self.session_loop(t, &mut session)
-        };
-        drop(guard);
-        outcome
-    }
-
     /// Builds the session a first frame asks for: a private scene for
     /// `Hello`, a shared-document replica for `Attach` (creating the
     /// document when a scene is offered; creations count into the
-    /// server-plane `serve.collab.docs`). Both handshake paths have
-    /// already rejected any other first frame.
+    /// server-plane `serve.collab.docs`). The handshake has already
+    /// rejected any other first frame.
     pub(crate) fn open_hosted(
         &self,
         first: &ClientFrame,
@@ -434,124 +338,24 @@ impl Server {
         }
     }
 
-    fn session_loop<T: FrameTransport>(
-        &self,
-        t: &mut T,
-        session: &mut HostedSession,
-    ) -> Result<ConnectionOutcome, Box<dyn std::error::Error>> {
-        loop {
-            // Block for the first step, then drain whatever burst is
-            // already buffered into the same batch. The frame trace
-            // starts *after* the blocking recv so queue idle time is
-            // not attributed to any stage; each decode is stamped.
-            let first_body = t.recv()?;
-            let mut ft = session.begin_frame();
-            let mut batch: Vec<ScriptStep> = Vec::new();
-            let mut saw_bye = false;
-            let mut stats_req = false;
-            decode_into(
-                &first_body,
-                &mut ft,
-                &mut batch,
-                &mut saw_bye,
-                &mut stats_req,
-            )?;
-            while !saw_bye {
-                match t.try_recv()? {
-                    Some(body) => {
-                        decode_into(&body, &mut ft, &mut batch, &mut saw_bye, &mut stats_req)?
-                    }
-                    None => break,
-                }
-            }
-
-            if let Some(outcome) = self.finish_batch(t, session, ft, batch, saw_bye, stats_req)? {
-                return Ok(outcome);
-            }
-        }
-    }
-
-    /// The blocking-path loop for attached sessions. A replica cannot
-    /// block on its transport: a silent watcher's frames come from
-    /// *other* replicas' edits, which arrive on the document channel,
-    /// not the socket. So this polls both — transport bursts drain
-    /// through the normal batch funnel, document ops pump through
-    /// [`Server::pump_doc_ops`], and a nap keeps the idle spin polite
-    /// (the shard path gets the same behavior from its readiness
-    /// loop's nap).
-    fn attached_loop<T: FrameTransport>(
-        &self,
-        t: &mut T,
-        session: &mut HostedSession,
-    ) -> Result<ConnectionOutcome, Box<dyn std::error::Error>> {
-        loop {
-            match t.try_recv()? {
-                Some(first_body) => {
-                    let mut ft = session.begin_frame();
-                    let mut batch: Vec<ScriptStep> = Vec::new();
-                    let mut saw_bye = false;
-                    let mut stats_req = false;
-                    decode_into(
-                        &first_body,
-                        &mut ft,
-                        &mut batch,
-                        &mut saw_bye,
-                        &mut stats_req,
-                    )?;
-                    while !saw_bye {
-                        match t.try_recv()? {
-                            Some(body) => decode_into(
-                                &body,
-                                &mut ft,
-                                &mut batch,
-                                &mut saw_bye,
-                                &mut stats_req,
-                            )?,
-                            None => break,
-                        }
-                    }
-                    if let Some(outcome) =
-                        self.finish_batch(t, session, ft, batch, saw_bye, stats_req)?
-                    {
-                        return Ok(outcome);
-                    }
-                }
-                None => match self.pump_doc_ops(t, session)? {
-                    CollabPump::Done(outcome) => return Ok(outcome),
-                    CollabPump::Progress => {}
-                    CollabPump::Idle => thread::sleep(ATTACHED_NAP),
-                },
-            }
-        }
-    }
-
-    /// Drains and applies whatever shared-document ops are buffered on
-    /// an attached session's subscription, shipping the resulting diff.
-    /// This is how a replica makes progress with *no* transport
-    /// traffic of its own; the shard readiness loop and the blocking
-    /// attached loop both pump through here.
+    /// Applies shared-document ops drained from an attached session's
+    /// subscription and ships the resulting frame. This is how a
+    /// replica makes progress with *no* transport traffic of its own.
+    /// Returns whether the session ended (`Bye` sent).
     pub(crate) fn pump_doc_ops(
         &self,
         t: &mut dyn FrameTransport,
         session: &mut HostedSession,
-    ) -> Result<CollabPump, Box<dyn std::error::Error>> {
-        let ops = session.drain_ops();
-        if ops.is_empty() {
-            return Ok(CollabPump::Idle);
-        }
+        ops: &[Op],
+    ) -> Result<bool, Box<dyn std::error::Error>> {
         let mut ft = session.begin_frame();
-        let (frame, end) = session.apply_ops_traced(&ops, &mut ft);
-        ft.enter(Stage::Ship);
-        t.send(&session.encode_frame(&frame))?;
-        ft.exit();
-        session.finish_frame(ft);
+        let (frame, end) = session.apply_ops_traced(ops, &mut ft);
+        ship(t, session, &frame, ft)?;
         if let Some(end) = end {
             self.goodbye(t, end)?;
-            return Ok(CollabPump::Done(ConnectionOutcome::Served {
-                steps: session.seq(),
-            }));
+            return Ok(true);
         }
-        Ok(CollabPump::Progress)
+        Ok(false)
     }
 
     /// Sends the server-side `Bye` for a session-initiated end and
@@ -575,10 +379,7 @@ impl Server {
     /// Runs one collected batch to completion: backpressure trim,
     /// apply + ship under the frame trace, stats reply, and the goodbye
     /// when the batch (or the client) ended the session. Returns
-    /// `Some(outcome)` once the session is over. Both dispatch paths —
-    /// the blocking per-connection loop and the shard readiness pump —
-    /// call this and nothing else, so their observable behavior per
-    /// batch is shared code, not parallel implementations.
+    /// whether the session is over.
     pub(crate) fn finish_batch(
         &self,
         t: &mut dyn FrameTransport,
@@ -587,7 +388,7 @@ impl Server {
         mut batch: Vec<ScriptStep>,
         saw_bye: bool,
         stats_req: bool,
-    ) -> Result<Option<ConnectionOutcome>, Box<dyn std::error::Error>> {
+    ) -> Result<bool, Box<dyn std::error::Error>> {
         // Backpressure: a burst beyond the queue cap drops its oldest
         // steps; the drops still advance `seq`.
         let dropped = batch.len().saturating_sub(self.cfg.session.queue_cap);
@@ -611,20 +412,12 @@ impl Server {
             let ops = session.drain_ops();
             if !ops.is_empty() {
                 let (frame, end) = session.apply_ops_traced(&ops, &mut ft);
-                ft.enter(Stage::Ship);
-                let encoded = session.encode_frame(&frame);
-                t.send(&encoded)?;
-                ft.exit();
-                session.finish_frame(ft);
+                ship(t, session, &frame, ft)?;
                 end_after = end;
             }
         } else if !batch.is_empty() {
             let (frame, end) = session.apply_batch_traced(&batch, dropped as u64, &mut ft);
-            ft.enter(Stage::Ship);
-            let encoded = session.encode_frame(&frame);
-            t.send(&encoded)?;
-            ft.exit();
-            session.finish_frame(ft);
+            ship(t, session, &frame, ft)?;
             end_after = end;
         }
         // A batchless wakeup (lone StatsReq) drops its inert-ish
@@ -637,9 +430,7 @@ impl Server {
 
         if let Some(end) = end_after {
             self.goodbye(t, end)?;
-            return Ok(Some(ConnectionOutcome::Served {
-                steps: session.seq(),
-            }));
+            return Ok(true);
         }
         if saw_bye {
             t.send(
@@ -648,11 +439,8 @@ impl Server {
                 }
                 .encode(),
             )?;
-            return Ok(Some(ConnectionOutcome::Served {
-                steps: session.seq(),
-            }));
         }
-        Ok(None)
+        Ok(saw_bye)
     }
 
     fn lock_shards(&self) -> MutexGuard<'_, Vec<ShardHandle>> {
@@ -671,11 +459,6 @@ impl Server {
         for index in 0..n.max(1) {
             shards.push(ShardHandle::spawn(Arc::downgrade(self), index));
         }
-    }
-
-    /// Running worker shards (0 until [`Server::start_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.lock_shards().len()
     }
 
     /// Per-shard connection counts (queued + live), in shard order.
@@ -737,81 +520,20 @@ impl Server {
     }
 }
 
-/// How [`Server::pump_doc_ops`] left an attached session.
-pub(crate) enum CollabPump {
-    /// No ops buffered; nothing happened.
-    Idle,
-    /// Ops applied and a frame shipped.
-    Progress,
-    /// The session ended (idle eviction or app close); `Bye` sent.
-    Done(ConnectionOutcome),
-}
-
-/// Nap between polls of the blocking attached loop (the shard path
-/// naps in its own readiness loop instead).
-const ATTACHED_NAP: std::time::Duration = std::time::Duration::from_micros(200);
-
-/// Decodes one client body into the current batch, stamping the decode
-/// stage. A second `Hello` (or `Attach`) mid-session is the protocol
-/// violation it always was.
-pub(crate) fn decode_into(
-    body: &[u8],
-    ft: &mut FrameTrace,
-    batch: &mut Vec<ScriptStep>,
-    saw_bye: &mut bool,
-    stats_req: &mut bool,
-) -> Result<(), WireError> {
-    ft.enter(Stage::Decode);
-    let decoded = ClientFrame::decode(body);
+/// Encodes and sends a frame under the `ship` stage stamp, then closes
+/// the frame's attribution.
+fn ship(
+    t: &mut dyn FrameTransport,
+    session: &mut HostedSession,
+    frame: &ServerFrame,
+    mut ft: FrameTrace,
+) -> io::Result<()> {
+    ft.enter(Stage::Ship);
+    let encoded = session.encode_frame(frame);
+    t.send(&encoded)?;
     ft.exit();
-    match decoded? {
-        ClientFrame::Step(step) => batch.push(step),
-        ClientFrame::Bye => *saw_bye = true,
-        ClientFrame::StatsReq => *stats_req = true,
-        ClientFrame::Hello { .. } => return Err(WireError::BadTag(0x01)),
-        ClientFrame::Attach { .. } => return Err(WireError::BadTag(0x05)),
-    }
+    session.finish_frame(ft);
     Ok(())
-}
-
-/// Unregisters a session's collector on connection exit and folds its
-/// final (span-stripped) snapshot into the server's retired
-/// accumulator, so `merged_snapshot` totals survive session churn.
-struct RetireGuard<'a> {
-    server: &'a Server,
-    session_id: u64,
-    collector: Arc<Collector>,
-}
-
-impl Drop for RetireGuard<'_> {
-    fn drop(&mut self) {
-        self.server.retire_session(self.session_id, &self.collector);
-    }
-}
-
-/// Releases the admission slot even on error paths.
-struct SlotGuard<'a>(&'a Server);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release_slot();
-    }
-}
-
-/// Accepts connections forever, one thread per connection — the E15
-/// ablation baseline the shard engine replaced. Returns only on
-/// listener failure.
-pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> io::Result<()> {
-    loop {
-        let (stream, _) = listener.accept()?;
-        let server = server.clone();
-        thread::spawn(move || {
-            let outcome = server.serve_connection(TcpTransport::new(stream));
-            if let ConnectionOutcome::Failed(e) = outcome {
-                eprintln!("served: session failed: {e}");
-            }
-        });
-    }
 }
 
 /// Accepts connections forever onto `shards` worker shards (started if
@@ -819,11 +541,7 @@ pub fn serve_listener(server: Arc<Server>, listener: TcpListener) -> io::Result<
 /// the least-loaded shard's admission queue; the shard does the
 /// handshake and hosts the session. When every shard is draining the
 /// acceptor answers `Busy` itself. Returns only on listener failure.
-pub fn serve_listener_sharded(
-    server: Arc<Server>,
-    listener: TcpListener,
-    shards: usize,
-) -> io::Result<()> {
+pub fn serve_listener(server: Arc<Server>, listener: TcpListener, shards: usize) -> io::Result<()> {
     server.start_shards(shards);
     loop {
         let (stream, _) = listener.accept()?;
@@ -840,110 +558,95 @@ mod tests {
     use crate::transport::MemTransport;
     use atk_wm::WindowEvent;
 
-    fn enabled_collector() -> Arc<Collector> {
-        let c = Arc::new(Collector::new());
-        c.enable();
-        c
+    /// A server with one running shard, reporting into an enabled
+    /// collector.
+    fn one_shard(cfg: ServerConfig) -> Arc<Server> {
+        let collector = Arc::new(Collector::new());
+        collector.enable();
+        let server = Server::new(cfg, collector);
+        server.start_shards(1);
+        server
     }
 
-    /// Drives a minimal handshake + a few steps over the in-memory
-    /// transport against a server thread.
+    /// Admits the server half of a fresh pair; returns the client half.
+    fn connect(server: &Server) -> MemTransport {
+        let (client, server_half) = MemTransport::pair();
+        assert!(server.admit(Box::new(server_half)).is_ok(), "no shard");
+        client
+    }
+
+    fn send(client: &mut MemTransport, frame: ClientFrame) {
+        client.send(&frame.encode().unwrap()).unwrap();
+    }
+
+    fn hello(scene: &str) -> ClientFrame {
+        ClientFrame::Hello {
+            scene: scene.into(),
+            backend: None,
+        }
+    }
+
+    fn recv(client: &mut MemTransport) -> ServerFrame {
+        ServerFrame::decode(&client.recv().unwrap()).unwrap()
+    }
+
+    /// A handshake plus a few steps over the in-memory transport
+    /// against a one-shard server.
     #[test]
     fn handshake_steps_and_bye() {
-        let server = Server::new(ServerConfig::default(), enabled_collector());
-        let (mut client, server_half) = MemTransport::pair();
-        let srv = server.clone();
-        let t = thread::spawn(move || srv.serve_connection(server_half));
+        let server = one_shard(ServerConfig::default());
+        let mut client = connect(&server);
 
-        client
-            .send(
-                &ClientFrame::Hello {
-                    scene: "fig1".into(),
-                    backend: None,
-                }
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
-        let welcome = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        send(&mut client, hello("fig1"));
+        let welcome = recv(&mut client);
         assert!(matches!(welcome, ServerFrame::Welcome { .. }));
-        let key = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        let key = recv(&mut client);
         assert!(matches!(key, ServerFrame::Keyframe { seq: 0, .. }));
 
-        client
-            .send(
-                &ClientFrame::Step(ScriptStep::Event(WindowEvent::ch('z')))
-                    .encode()
-                    .unwrap(),
-            )
-            .unwrap();
-        let frame = ServerFrame::decode(&client.recv().unwrap()).unwrap();
-        match frame {
+        send(
+            &mut client,
+            ClientFrame::Step(ScriptStep::Event(WindowEvent::ch('z'))),
+        );
+        match recv(&mut client) {
             ServerFrame::Update { seq, .. } | ServerFrame::Keyframe { seq, .. } => {
                 assert_eq!(seq, 1)
             }
             other => panic!("unexpected {other:?}"),
         }
 
-        client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
-        let bye = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        send(&mut client, ClientFrame::Bye);
         assert_eq!(
-            bye,
+            recv(&mut client),
             ServerFrame::Bye {
                 reason: "bye".into()
             }
         );
-        assert_eq!(t.join().unwrap(), ConnectionOutcome::Served { steps: 1 });
+        server.shutdown_shards();
         assert_eq!(server.active_sessions(), 0);
     }
 
     #[test]
     fn admission_control_rejects_with_busy() {
-        let cfg = ServerConfig {
+        let server = one_shard(ServerConfig {
             max_sessions: 1,
             ..ServerConfig::default()
-        };
-        let server = Server::new(cfg, enabled_collector());
+        });
 
         // First session occupies the only slot.
-        let (mut c1, s1) = MemTransport::pair();
-        let srv = server.clone();
-        let t1 = thread::spawn(move || srv.serve_connection(s1));
-        c1.send(
-            &ClientFrame::Hello {
-                scene: "fig1".into(),
-                backend: None,
-            }
-            .encode()
-            .unwrap(),
-        )
-        .unwrap();
-        let _welcome = c1.recv().unwrap();
-        let _key = c1.recv().unwrap();
+        let mut c1 = connect(&server);
+        send(&mut c1, hello("fig1"));
+        let _welcome = recv(&mut c1);
+        let _key = recv(&mut c1);
 
         // Second connection is turned away politely.
-        let (mut c2, s2) = MemTransport::pair();
-        let srv = server.clone();
-        let t2 = thread::spawn(move || srv.serve_connection(s2));
-        c2.send(
-            &ClientFrame::Hello {
-                scene: "fig1".into(),
-                backend: None,
-            }
-            .encode()
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            ServerFrame::decode(&c2.recv().unwrap()).unwrap(),
-            ServerFrame::Busy
-        );
-        assert_eq!(t2.join().unwrap(), ConnectionOutcome::Rejected);
+        let mut c2 = connect(&server);
+        send(&mut c2, hello("fig1"));
+        assert_eq!(recv(&mut c2), ServerFrame::Busy);
 
         // After the first leaves, the slot frees up.
-        c1.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
-        let _bye = c1.recv().unwrap();
-        t1.join().unwrap();
+        send(&mut c1, ClientFrame::Bye);
+        let _bye = recv(&mut c1);
+        server.shutdown_shards();
         assert_eq!(server.active_sessions(), 0);
         assert_eq!(
             server.collector().snapshot().counter("serve.busy_rejects"),
@@ -953,44 +656,43 @@ mod tests {
 
     #[test]
     fn burst_past_queue_cap_drops_oldest_and_counts() {
-        let cfg = ServerConfig {
+        let server = one_shard(ServerConfig {
             session: SessionConfig {
                 queue_cap: 4,
                 ..SessionConfig::default()
             },
             ..ServerConfig::default()
-        };
-        let server = Server::new(cfg, enabled_collector());
+        });
+
+        // Preload the whole conversation before the shard ever sees
+        // the connection: hello + a 10-step burst + bye. The shard's
+        // first drain sees all 10 steps at once and must shed 6.
         let (mut client, server_half) = MemTransport::pair();
-
-        // Preload the whole conversation before the server thread ever
-        // runs: hello + a 10-step burst + bye. The server's first drain
-        // sees all 10 steps at once and must shed 6.
-        client
-            .send(
-                &ClientFrame::Hello {
-                    scene: "fig1".into(),
-                    backend: None,
-                }
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
+        send(&mut client, hello("fig1"));
         for i in 0..10 {
-            client
-                .send(
-                    &ClientFrame::Step(ScriptStep::Event(WindowEvent::Tick(1 + i)))
-                        .encode()
-                        .unwrap(),
-                )
-                .unwrap();
+            send(
+                &mut client,
+                ClientFrame::Step(ScriptStep::Event(WindowEvent::Tick(1 + i))),
+            );
         }
-        client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
+        send(&mut client, ClientFrame::Bye);
+        assert!(server.admit(Box::new(server_half)).is_ok(), "no shard");
 
-        let srv = server.clone();
-        let outcome = srv.serve_connection(server_half);
-        // All 10 steps are accounted for (4 applied + 6 dropped).
-        assert_eq!(outcome, ConnectionOutcome::Served { steps: 10 });
+        assert!(matches!(recv(&mut client), ServerFrame::Welcome { .. }));
+        assert!(matches!(
+            recv(&mut client),
+            ServerFrame::Keyframe { seq: 0, .. }
+        ));
+        // All 10 steps are accounted for (4 applied + 6 dropped) in the
+        // one frame the burst ships.
+        match recv(&mut client) {
+            ServerFrame::Update { seq, .. } | ServerFrame::Keyframe { seq, .. } => {
+                assert_eq!(seq, 10)
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(recv(&mut client), ServerFrame::Bye { .. }));
+        server.shutdown_shards();
         // The drop counter lives on the (now retired) session's
         // collector; the merged server-wide view still carries it.
         assert_eq!(
@@ -1009,35 +711,23 @@ mod tests {
 
     #[test]
     fn unknown_scene_reports_error_and_releases_slot() {
-        let server = Server::new(ServerConfig::default(), enabled_collector());
-        let (mut client, server_half) = MemTransport::pair();
-        let srv = server.clone();
-        let t = thread::spawn(move || srv.serve_connection(server_half));
-        client
-            .send(
-                &ClientFrame::Hello {
-                    scene: "no-such-scene".into(),
-                    backend: None,
-                }
-                .encode()
-                .unwrap(),
-            )
-            .unwrap();
-        let reply = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        let server = one_shard(ServerConfig::default());
+        let mut client = connect(&server);
+        send(&mut client, hello("no-such-scene"));
+        let reply = recv(&mut client);
         assert!(matches!(reply, ServerFrame::Error { .. }), "{reply:?}");
-        t.join().unwrap();
+        server.shutdown_shards();
         assert_eq!(server.active_sessions(), 0);
     }
 
     #[test]
     fn garbage_frame_fails_the_connection_without_panicking() {
-        let server = Server::new(ServerConfig::default(), enabled_collector());
-        let (mut client, server_half) = MemTransport::pair();
-        let srv = server.clone();
-        let t = thread::spawn(move || srv.serve_connection(server_half));
+        let server = one_shard(ServerConfig::default());
+        let mut client = connect(&server);
         client.send(&[0xFF, 0x00, 0x37]).unwrap();
-        let reply = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        let reply = recv(&mut client);
         assert!(matches!(reply, ServerFrame::Error { .. }));
-        assert!(matches!(t.join().unwrap(), ConnectionOutcome::Failed(_)));
+        server.shutdown_shards();
+        assert_eq!(server.merged_snapshot().counter("serve.shard.failures"), 1);
     }
 }

@@ -1,11 +1,13 @@
-//! One hosted session: a `World` + `InteractionManager` pair living in
-//! its connection's thread, fed batches of script steps and producing
-//! one shipped frame per batch.
+//! One hosted session: a `World` + `InteractionManager` pair living on
+//! its shard's thread, fed batches of script steps and producing one
+//! shipped frame per batch.
 //!
-//! The batch path is the serving analogue of the toolkit's own update
-//! discipline: events are *posted* first and the tree `settle`s once per
-//! batch (the IM's `pump` already dequeues everything before its single
-//! settle), so a burst of mouse movement costs one relayout and one
+//! Steps reach the world through `atk_core::StepReplayer`, the same
+//! path in-process replays take. The batch path is the serving analogue
+//! of the toolkit's own update discipline: events are *posted* first
+//! (`StepReplayer::post`) and the tree `settle`s once per batch (the
+//! IM's `pump` already dequeues everything before its single settle),
+//! so a burst of mouse movement costs one relayout and one
 //! damage pass, not one per event. On top of that the coalescer drops
 //! all but the last of a run of consecutive pointer movements — the
 //! cursor only ends up in one place. Clock ticks are **never** merged:
@@ -18,8 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use atk_apps::scenes::build_scene;
-use atk_collab::{Attachment, Doc, Op};
-use atk_core::{InteractionManager, ScriptStep, World};
+use atk_collab::{Attachment, Op};
+use atk_core::{InteractionManager, ScriptStep, StepReplayer, World};
 use atk_graphics::Framebuffer;
 use atk_trace::{Collector, FrameLog, FrameTrace, SlowFrameLog, Stage};
 use atk_wm::{MouseAction, WindowEvent};
@@ -113,10 +115,9 @@ pub struct HostedSession {
     /// Script line of the last step in the current batch (captured
     /// only while the SLO watchdog is armed).
     last_trigger: Option<String>,
-    /// Position of the most recent `MenuRequest` event; replayed
-    /// `MenuSelect` steps pop their menu there, matching the recorded
-    /// interaction instead of hardcoding the origin.
-    last_menu_pos: atk_graphics::Point,
+    /// The step path shared with in-process replays: both the batch
+    /// path and the per-op path feed the world through it.
+    replayer: StepReplayer,
     /// The replica side of a shared-document attachment, when this
     /// session opened via `Attach` instead of `Hello`.
     collab: Option<Replica>,
@@ -133,7 +134,7 @@ struct Replica {
 
 impl HostedSession {
     /// Builds the named scene cold on the configured backend. Runs on
-    /// the connection's own thread — the world never crosses it.
+    /// the shard's own thread — the world never crosses it.
     pub fn open(
         scene: &str,
         cfg: SessionConfig,
@@ -179,7 +180,7 @@ impl HostedSession {
             frame_log: FrameLog::new(FRAME_LOG_CAPACITY),
             slow_log: None,
             last_trigger: None,
-            last_menu_pos: atk_graphics::Point::ORIGIN,
+            replayer: StepReplayer::default(),
             collab: None,
         })
     }
@@ -206,7 +207,9 @@ impl HostedSession {
             applied: 0,
         });
         for op in &backlog {
-            session.apply_one_op(&op.step);
+            session
+                .replayer
+                .apply(&mut session.im, &mut session.world, &op.step);
         }
         if let Some(r) = session.collab.as_mut() {
             r.applied = backlog.last().map_or(0, |op| op.seq);
@@ -220,11 +223,6 @@ impl HostedSession {
     /// True when this session is a replica of a shared document.
     pub fn is_attached(&self) -> bool {
         self.collab.is_some()
-    }
-
-    /// The attached document, for replicas.
-    pub fn doc(&self) -> Option<&Arc<Doc>> {
-        self.collab.as_ref().map(|r| r.attachment.doc())
     }
 
     /// Serializes a batch of this replica's own edits through the
@@ -259,14 +257,6 @@ impl HostedSession {
             .map_or_else(Vec::new, |r| r.attachment.drain())
     }
 
-    /// [`HostedSession::apply_ops_traced`] owning its own attribution.
-    pub fn apply_ops(&mut self, ops: &[Op]) -> (ServerFrame, Option<SessionEnd>) {
-        let mut ft = self.begin_frame();
-        let out = self.apply_ops_traced(ops, &mut ft);
-        self.finish_frame(ft);
-        out
-    }
-
     /// Applies a drained run of shared-document ops and returns the
     /// frame to ship. Ops apply **one at a time** with the recorded
     /// per-step semantics — each op settles and repaints before the
@@ -290,81 +280,27 @@ impl HostedSession {
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
         let started = Instant::now();
-        if self.cfg.slo_us.is_some() && ft.is_enabled() {
-            self.last_trigger = ops.last().map(|op| {
-                op.step
-                    .to_line()
-                    .unwrap_or_else(|| format!("{:?}", op.step))
-            });
-        }
+        self.note_trigger(ops.last().map(|op| &op.step), ft);
         ft.enter(Stage::Apply);
         let mut saw_real_input = false;
         let mut own = 0u64;
         for op in ops {
-            if !matches!(op.step, ScriptStep::Event(WindowEvent::Tick(_))) {
-                saw_real_input = true;
-            }
+            saw_real_input |= !is_tick(&op.step);
             if op.author == self.session_id {
                 own += 1;
             }
-            self.apply_one_op(&op.step);
+            self.replayer.apply(&mut self.im, &mut self.world, &op.step);
             if let Some(r) = self.collab.as_mut() {
                 r.applied = op.seq;
             }
         }
         ft.exit();
 
-        self.seq += own;
-        if saw_real_input {
-            self.last_input_ms = self.world.now_ms();
-        }
         if let Some(r) = self.collab.as_ref() {
             let lag = r.attachment.doc().head().saturating_sub(r.applied);
             self.collector.observe("serve.collab.replay_lag", lag);
         }
-
-        let frame = self.ship_frame(ft);
-        self.collector
-            .observe("serve.frame_us", started.elapsed().as_micros() as u64);
-
-        (frame, self.session_end())
-    }
-
-    /// One op, with the exact semantics the in-process reference uses
-    /// for one script step (`atk_check::Session::apply`), followed by
-    /// a settle and a damage repaint so the next op sees a fully
-    /// repaired world.
-    fn apply_one_op(&mut self, step: &ScriptStep) {
-        match step {
-            ScriptStep::Event(ev) => {
-                if let WindowEvent::MenuRequest { pos } = ev {
-                    self.last_menu_pos = *pos;
-                }
-                self.im.feed(&mut self.world, ev.clone());
-            }
-            ScriptStep::MenuSelect(label) => {
-                self.im.feed(
-                    &mut self.world,
-                    WindowEvent::MenuRequest {
-                        pos: self.last_menu_pos,
-                    },
-                );
-                self.im.select_menu(&mut self.world, label);
-                self.im.pump(&mut self.world);
-            }
-        }
-        self.im.flush_quiescent(&mut self.world);
-        self.im.repaint_damage(&mut self.world);
-    }
-
-    /// Applies plain steps with replica semantics (one settle + paint
-    /// per step, no frame assembly). This is how the collab oracle's
-    /// in-process reference replays the merged interleaving: the same
-    /// per-op funnel the replicas run, minus the wire.
-    pub fn replay_steps(&mut self, steps: &[ScriptStep]) {
-        for step in steps {
-            self.apply_one_op(step);
-        }
+        self.finish_apply(started, own, saw_real_input, ft)
     }
 
     /// A snapshot of the current backend framebuffer (the oracle's
@@ -480,56 +416,23 @@ impl HostedSession {
         ft: &mut FrameTrace,
     ) -> (ServerFrame, Option<SessionEnd>) {
         let started = Instant::now();
-        if self.cfg.slo_us.is_some() && ft.is_enabled() {
-            self.last_trigger = batch
-                .last()
-                .map(|s| s.to_line().unwrap_or_else(|| format!("{s:?}")));
-        }
+        self.note_trigger(batch.last(), ft);
         let coalesced = coalesce(batch);
         self.collector
             .count("serve.coalesced", (batch.len() - coalesced.len()) as u64);
 
-        // Post runs of plain events and pump once per run; menu
-        // selections need the request/select/pump sequence in order.
-        // The final pump is spelled out as dispatch / flush / repaint
-        // so the trace can attribute apply, settle, and paint apart —
-        // the sequence is exactly what `pump` runs.
+        // Post every step, pumping only where a menu selection needs
+        // the request/select/pump sequence in order. The final pump is
+        // spelled out as dispatch / flush / repaint so the trace can
+        // attribute apply, settle, and paint apart — the sequence is
+        // exactly what `pump` runs.
         ft.enter(Stage::Apply);
-        let mut pending = false;
         let mut saw_real_input = false;
         for step in &coalesced {
-            if !matches!(step, ScriptStep::Event(WindowEvent::Tick(_))) {
-                saw_real_input = true;
-            }
-            match step {
-                ScriptStep::Event(ev) => {
-                    if let WindowEvent::MenuRequest { pos } = ev {
-                        self.last_menu_pos = *pos;
-                    }
-                    self.im.window_mut().post_event(ev.clone());
-                    pending = true;
-                }
-                ScriptStep::MenuSelect(label) => {
-                    if pending {
-                        self.im.pump(&mut self.world);
-                        pending = false;
-                    }
-                    self.im.feed(
-                        &mut self.world,
-                        WindowEvent::MenuRequest {
-                            pos: self.last_menu_pos,
-                        },
-                    );
-                    self.im.select_menu(&mut self.world, label);
-                    self.im.pump(&mut self.world);
-                }
-            }
+            saw_real_input |= !is_tick(step);
+            self.replayer.post(&mut self.im, &mut self.world, step);
         }
-        if pending {
-            while let Some(ev) = self.im.window_mut().next_event() {
-                self.im.dispatch(&mut self.world, ev);
-            }
-        }
+        self.replayer.dispatch_posted(&mut self.im, &mut self.world);
         ft.exit();
         ft.measure(Stage::Settle, || {
             self.im.flush_quiescent(&mut self.world);
@@ -538,15 +441,34 @@ impl HostedSession {
             self.im.repaint_damage(&mut self.world);
         });
 
-        self.seq += batch.len() as u64 + dropped;
+        self.finish_apply(started, batch.len() as u64 + dropped, saw_real_input, ft)
+    }
+
+    /// Keeps the script line of a frame's last step for slow-frame
+    /// dumps, while the SLO watchdog is armed.
+    fn note_trigger(&mut self, last: Option<&ScriptStep>, ft: &FrameTrace) {
+        if self.cfg.slo_us.is_some() && ft.is_enabled() {
+            self.last_trigger = last.map(|s| s.to_line().unwrap_or_else(|| format!("{s:?}")));
+        }
+    }
+
+    /// The tail both apply paths share: advance `seq`, restart the idle
+    /// horizon on real input, assemble the frame, and time the whole
+    /// frame into `serve.frame_us`.
+    fn finish_apply(
+        &mut self,
+        started: Instant,
+        advanced: u64,
+        saw_real_input: bool,
+        ft: &mut FrameTrace,
+    ) -> (ServerFrame, Option<SessionEnd>) {
+        self.seq += advanced;
         if saw_real_input {
             self.last_input_ms = self.world.now_ms();
         }
-
         let frame = self.ship_frame(ft);
         self.collector
             .observe("serve.frame_us", started.elapsed().as_micros() as u64);
-
         (frame, self.session_end())
     }
 
@@ -789,6 +711,10 @@ fn refresh_baseline(shipped: &mut Option<Framebuffer>, cur: &Framebuffer, rows: 
         }
         _ => *shipped = Some(cur.clone()),
     }
+}
+
+fn is_tick(step: &ScriptStep) -> bool {
+    matches!(step, ScriptStep::Event(WindowEvent::Tick(_)))
 }
 
 /// Collapses runs of consecutive pointer movements down to the last

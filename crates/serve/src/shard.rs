@@ -1,6 +1,6 @@
-//! The event-driven shard engine: N worker threads, each single-
-//! threadedly hosting *many* sessions behind a poll-style readiness
-//! loop.
+//! The shard engine, the server's only dispatcher: N worker threads,
+//! each single-threadedly hosting *many* sessions behind a poll-style
+//! readiness loop.
 //!
 //! The shape follows the band0 decomposition of many small framed-
 //! protocol daemons, each owning one resource outright: a shard owns
@@ -14,8 +14,9 @@
 //! Each loop iteration: drain the admission queue, then poll every
 //! connection's transport once with the non-blocking `try_recv` —
 //! pending `Hello`s complete their handshake, live sessions drain
-//! whatever burst is buffered into one batch and run it through the
-//! shared `Server::finish_batch`. No readiness event in a whole sweep
+//! whatever burst is buffered into one batch and run it through
+//! `Server::finish_batch`, and silent replicas apply the ops their
+//! document's peers wrote. No readiness event in a whole sweep
 //! means the shard naps briefly instead of spinning. There is no epoll
 //! here by design: the repo is std-only, and a short nap bounds the
 //! idle poll cost while keeping the loop portable.
@@ -39,10 +40,10 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use atk_core::ScriptStep;
-use atk_trace::Collector;
+use atk_trace::{Collector, FrameTrace, Stage};
 
 use crate::fault::FaultRng;
-use crate::server::{decode_into, CollabPump, ConnectionOutcome, Server};
+use crate::server::Server;
 use crate::session::HostedSession;
 use crate::transport::FrameTransport;
 use crate::wire::{ClientFrame, ServerFrame, WireError, BYE_DRAIN};
@@ -172,7 +173,7 @@ enum Pump {
     /// Processed something; the connection lives on.
     Progress,
     /// The connection finished in an orderly way.
-    Done(ConnectionOutcome),
+    Done,
 }
 
 /// The shard thread body.
@@ -280,7 +281,7 @@ fn run_shard(
             match result {
                 Ok(Pump::Idle) => {}
                 Ok(Pump::Progress) => progress = true,
-                Ok(Pump::Done(_outcome)) => {
+                Ok(Pump::Done) => {
                     progress = true;
                     closed.push(i);
                 }
@@ -308,8 +309,7 @@ fn run_shard(
 
 /// Completes a pending handshake if the first frame (`Hello` or
 /// `Attach`) has arrived: admission slot, session build, `Welcome` +
-/// initial keyframe — the same sequence as the blocking path, minus
-/// the blocking.
+/// initial keyframe.
 fn pump_handshake(
     server: &Server,
     conn: &mut Conn,
@@ -327,7 +327,7 @@ fn pump_handshake(
     }
     if !server.try_claim_slot() {
         conn.t.send(&ServerFrame::Busy.encode())?;
-        return Ok(Pump::Done(ConnectionOutcome::Rejected));
+        return Ok(Pump::Done);
     }
     // From here the claimed slot must be released on every path. The
     // happy path hands that duty to `finish_close` by entering
@@ -340,7 +340,7 @@ fn pump_handshake(
             server.retire_session(session_id, &session_collector);
             server.release_slot();
             conn.t.send(&ServerFrame::Error { message: e }.encode())?;
-            return Ok(Pump::Done(ConnectionOutcome::Served { steps: 0 }));
+            return Ok(Pump::Done);
         }
     };
     session.set_session_id(session_id);
@@ -368,9 +368,7 @@ fn pump_handshake(
 }
 
 /// Polls a live session once: drains whatever burst is buffered into
-/// one batch (same batch semantics as the blocking loop's
-/// recv-then-drain) and runs it through the shared
-/// `Server::finish_batch`.
+/// one batch and runs it through `Server::finish_batch`.
 fn pump_running(
     server: &Server,
     collector: &Collector,
@@ -382,16 +380,14 @@ fn pump_running(
     let Some(first_body) = conn.t.try_recv()? else {
         // No transport traffic — but an attached session's frames come
         // from *other* replicas' edits, delivered on the document
-        // channel. Pump that here so a silent watcher makes progress
-        // every readiness sweep.
-        if session.is_attached() {
-            return Ok(match server.pump_doc_ops(&mut conn.t, session)? {
-                CollabPump::Idle => Pump::Idle,
-                CollabPump::Progress => Pump::Progress,
-                CollabPump::Done(outcome) => Pump::Done(outcome),
-            });
+        // channel (a private session has none). Pump that here so a
+        // silent watcher makes progress every readiness sweep.
+        let ops = session.drain_ops();
+        if ops.is_empty() {
+            return Ok(Pump::Idle);
         }
-        return Ok(Pump::Idle);
+        let ended = server.pump_doc_ops(&mut conn.t, session, &ops)?;
+        return Ok(if ended { Pump::Done } else { Pump::Progress });
     };
     let mut ft = session.begin_frame();
     let mut batch: Vec<ScriptStep> = Vec::new();
@@ -411,10 +407,31 @@ fn pump_running(
         }
     }
     collector.count("serve.shard.batches", 1);
-    match server.finish_batch(&mut conn.t, session, ft, batch, saw_bye, stats_req)? {
-        Some(outcome) => Ok(Pump::Done(outcome)),
-        None => Ok(Pump::Progress),
+    let ended = server.finish_batch(&mut conn.t, session, ft, batch, saw_bye, stats_req)?;
+    Ok(if ended { Pump::Done } else { Pump::Progress })
+}
+
+/// Decodes one client body into the current batch, stamping the decode
+/// stage. A second `Hello` (or `Attach`) mid-session is the protocol
+/// violation it always was.
+fn decode_into(
+    body: &[u8],
+    ft: &mut FrameTrace,
+    batch: &mut Vec<ScriptStep>,
+    saw_bye: &mut bool,
+    stats_req: &mut bool,
+) -> Result<(), WireError> {
+    ft.enter(Stage::Decode);
+    let decoded = ClientFrame::decode(body);
+    ft.exit();
+    match decoded? {
+        ClientFrame::Step(step) => batch.push(step),
+        ClientFrame::Bye => *saw_bye = true,
+        ClientFrame::StatsReq => *stats_req = true,
+        ClientFrame::Hello { .. } => return Err(WireError::BadTag(0x01)),
+        ClientFrame::Attach { .. } => return Err(WireError::BadTag(0x05)),
     }
+    Ok(())
 }
 
 /// Graceful goodbye for a drained connection.

@@ -11,10 +11,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use atk_core::ScriptStep;
-use atk_serve::oracle::collab_differential;
-use atk_serve::session::{HostedSession, SessionConfig};
+use atk_graphics::Point;
+use atk_serve::oracle::{collab_differential, collab_script_differential};
+use atk_serve::session::SessionConfig;
 use atk_serve::transport::{FrameTransport, MemTransport};
-use atk_serve::{ClientError, ConnectionOutcome, ServeClient, Server, ServerConfig};
+use atk_serve::{ClientError, ServeClient, Server, ServerConfig};
 use atk_trace::Collector;
 use atk_wm::{Key, WindowEvent};
 
@@ -53,6 +54,34 @@ fn fig2_collab_differential() {
 #[test]
 fn fig3_collab_differential() {
     run_scene("fig3");
+}
+
+/// The op path's menu rule against the in-process reference: one
+/// writer pops the menu away from the origin and the other selects from
+/// it, so every replica must re-pop the menu at the recorded position.
+#[test]
+fn menu_select_after_off_origin_request_converges() {
+    let request = ScriptStep::Event(WindowEvent::MenuRequest {
+        pos: Point::new(300, 220),
+    });
+    let mut probe = atk_check::Session::build("fig3", "x11sim").expect("scene");
+    probe.apply(&request);
+    let label = probe
+        .im
+        .offered_menus()
+        .first()
+        .map(|m| format!("{}/{}", m.card, m.label))
+        .expect("fig3 offers menus");
+    let script = vec![
+        (0, request),
+        (1, ScriptStep::MenuSelect(label)),
+        (0, tick(5)),
+    ];
+    let run = collab_script_differential("fig3", &script, 2, 1, 2, None)
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(run.replicas, 3);
+    assert_eq!(run.steps, script.len());
+    assert_eq!(run.counter_planes, run.replicas);
 }
 
 fn key(c: char) -> ScriptStep {
@@ -160,18 +189,10 @@ fn drained_replica_reattaches_at_log_head() {
     server.shutdown_shards();
 
     // Ground truth: one in-process session replaying every step once.
-    let collector = Arc::new(Collector::new());
-    let mut reference =
-        HostedSession::open("fig2", SessionConfig::default(), collector).expect("scene");
     let all: Vec<ScriptStep> = first.into_iter().chain(second).collect();
-    reference.replay_steps(&all);
-    let want = reference.framebuffer();
-    assert_eq!(writer_fb.pixels(), want.pixels(), "writer diverged");
-    assert_eq!(
-        rejoined_fb.pixels(),
-        want.pixels(),
-        "rejoined replica diverged"
-    );
+    let want = reference_pixels("fig2", &all);
+    assert_eq!(writer_fb.pixels(), want, "writer diverged");
+    assert_eq!(rejoined_fb.pixels(), want, "rejoined replica diverged");
 }
 
 /// The idle-eviction regression: idleness is keyed on *document*
@@ -225,54 +246,53 @@ fn silent_watcher_survives_typing_peer() {
     );
 }
 
-/// The single-connection (non-shard) server path speaks `Attach` too:
-/// one replica over `serve_connection` converges with the in-process
-/// reference, and bogus attaches are refused with a readable error.
+/// A lone connection on a one-shard server speaks `Attach` too: one
+/// replica converges with the in-process reference, and bogus attaches
+/// are refused with a readable error.
 #[test]
 fn attach_over_single_connection() {
-    let collector = Arc::new(Collector::new());
-    let server = Server::new(ServerConfig::default(), collector);
+    let server = shard_server(ServerConfig::default(), 1);
 
-    let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let handle = thread::spawn(move || srv.serve_connection(server_half));
-    let mut client = ServeClient::attach(client_half, "solo", Some("fig2")).expect("attach");
+    let (mut client, _) = attach_replica(&server, "solo", Some("fig2"));
     let steps: Vec<ScriptStep> = "solo".chars().map(key).collect();
     for step in &steps {
         client.step_sync(step).expect("step");
     }
     let (_, fb) = client.finish_with_frame().expect("finish");
-    match handle.join().expect("server thread") {
-        ConnectionOutcome::Served { steps: served } => assert_eq!(served, steps.len() as u64),
-        other => panic!("unexpected outcome {other:?}"),
-    }
-
-    let ref_collector = Arc::new(Collector::new());
-    let mut reference =
-        HostedSession::open("fig2", SessionConfig::default(), ref_collector).expect("scene");
-    reference.replay_steps(&steps);
-    assert_eq!(fb.pixels(), reference.framebuffer().pixels());
+    assert_eq!(fb.pixels(), reference_pixels("fig2", &steps));
 
     // Joining an unknown document without naming a scene is refused.
     let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let handle = thread::spawn(move || srv.serve_connection(server_half));
+    assert!(server.admit(Box::new(server_half)).is_ok(), "no shard");
     let err = match ServeClient::attach(client_half, "ghost", None) {
         Ok(_) => panic!("unknown doc must be refused"),
         Err(e) => e,
     };
     assert!(matches!(err, ClientError::Server(_)), "got {err:?}");
-    handle.join().expect("server thread");
 
     // Attaching to an existing document under a different scene is a
     // refusal, not a silent join of the wrong world.
     let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let handle = thread::spawn(move || srv.serve_connection(server_half));
+    assert!(server.admit(Box::new(server_half)).is_ok(), "no shard");
     let err = match ServeClient::attach(client_half, "solo", Some("fig1")) {
         Ok(_) => panic!("scene mismatch must be refused"),
         Err(e) => e,
     };
     assert!(matches!(err, ClientError::Server(_)), "got {err:?}");
-    handle.join().expect("server thread");
+
+    // Every step the replica sent reached the log once, and no
+    // connection failed.
+    server.shutdown_shards();
+    let merged = server.merged_snapshot();
+    assert_eq!(merged.counter("serve.collab.ops"), steps.len() as u64);
+    assert_eq!(merged.counter("serve.shard.failures"), 0);
+}
+
+/// The final pixels of one in-process session applying `steps`.
+fn reference_pixels(scene: &str, steps: &[ScriptStep]) -> Vec<u32> {
+    let mut reference = atk_check::Session::build(scene, "x11sim").expect("scene");
+    for step in steps {
+        reference.apply(step);
+    }
+    reference.im.snapshot().expect("pixels").pixels().to_vec()
 }

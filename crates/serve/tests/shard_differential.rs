@@ -49,12 +49,12 @@ fn run_scene(scene: &str) {
 
         assert_eq!(single.framebuffers.len(), SESSIONS);
         assert_eq!(multi.framebuffers.len(), SESSIONS);
-        for k in 0..SESSIONS {
+        for (k, script) in scripts.iter().enumerate() {
             assert_same_pixels(scene, seed, k, &single, &multi);
 
             // Anchor both to ground truth: the in-process session run.
             let mut reference = Session::build(scene, "x11sim").unwrap();
-            for step in &scripts[k] {
+            for step in script {
                 reference.apply(step);
             }
             let want = reference.im.snapshot().expect("reference has pixels");

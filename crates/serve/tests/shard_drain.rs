@@ -152,7 +152,7 @@ fn all_shards_draining_bounces_admissions() {
     assert!(!server.drain_shard(7), "unknown shard index must be false");
     let (_client, server_half) = MemTransport::pair();
     // The transport comes back so the acceptor can send Busy itself
-    // (that is what `serve_listener_sharded` does).
+    // (that is what `serve_listener` does).
     assert!(server.admit(Box::new(server_half)).is_err());
     server.shutdown_shards();
 }

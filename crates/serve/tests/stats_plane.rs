@@ -4,24 +4,29 @@
 //! dumps must be byte-deterministic under the manual clock.
 
 use atk_core::ScriptStep;
+use atk_serve::FrameTransport;
 use atk_serve::{
     ClientFrame, MemTransport, ServeClient, Server, ServerConfig, ServerFrame, SessionConfig,
 };
 use atk_trace::{snapshot_json, text_summary, validate_json, Collector, Snapshot, Stage};
 use atk_wm::WindowEvent;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-fn enabled_collector() -> Arc<Collector> {
+/// A one-shard server reporting into an enabled collector.
+fn one_shard(cfg: ServerConfig) -> Arc<Server> {
     let c = Arc::new(Collector::new());
     c.enable();
-    c
+    let server = Server::new(cfg, c);
+    server.start_shards(1);
+    server
 }
 
 /// Preloads one whole conversation (hello + `text` keys + bye) into a
-/// mem transport and serves it to completion on this thread.
+/// mem transport, admits it, and waits until the shard has served it to
+/// completion and retired the session.
 fn run_canned_session(server: &Arc<Server>, text: &str) {
     let (mut client, server_half) = MemTransport::pair();
-    use atk_serve::FrameTransport;
     client
         .send(
             &ClientFrame::Hello {
@@ -42,35 +47,53 @@ fn run_canned_session(server: &Arc<Server>, text: &str) {
             .unwrap();
     }
     client.send(&ClientFrame::Bye.encode().unwrap()).unwrap();
-    server.serve_connection(server_half);
+    assert!(server.admit(Box::new(server_half)).is_ok(), "no shard");
+    loop {
+        let frame = ServerFrame::decode(&client.recv().unwrap()).unwrap();
+        if matches!(frame, ServerFrame::Bye { .. }) {
+            break;
+        }
+    }
+    // The shard retires a session right after its `Bye`; wait for that
+    // so every snapshot below sees it retired.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "session never retired");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The differential: the `Stats` reply the wire would carry must equal
-/// an independent merge of the server-plane snapshot with every
-/// (span-stripped) per-session snapshot — the same totals reached by a
-/// different code path than the incremental retire-time accumulator.
+/// an independent merge of the server-plane and shard-plane snapshots
+/// with every (span-stripped) per-session snapshot — the same totals
+/// reached by a different code path than the incremental retire-time
+/// accumulator.
 #[test]
 fn stats_reply_is_the_sum_of_session_snapshots() {
-    let cfg = ServerConfig {
+    let server = one_shard(ServerConfig {
         manual_clock: Some((1_000, 1)),
         retain_session_traces: true,
         ..ServerConfig::default()
-    };
-    let server = Server::new(cfg, enabled_collector());
+    });
     for text in ["abc", "hello", "x"] {
         run_canned_session(&server, text);
     }
 
-    // trace_parts: [("server", plane), ("session-1", full), ...].
+    // trace_parts: [("server", plane), ("shard-0", plane),
+    // ("session-1", full), ...].
     let parts = server.trace_parts();
-    assert_eq!(parts.len(), 4, "server plane + three retired sessions");
+    assert_eq!(
+        parts.len(),
+        5,
+        "server plane + shard plane + three retired sessions"
+    );
     let stripped: Vec<Snapshot> = parts
         .iter()
         .map(|(label, snap)| {
-            if label == "server" {
-                snap.clone()
-            } else {
+            if label.starts_with("session-") {
                 snap.without_spans()
+            } else {
+                snap.clone()
             }
         })
         .collect();
@@ -93,21 +116,21 @@ fn stats_reply_is_the_sum_of_session_snapshots() {
         assert!(json.contains(stage.key()), "json lists {}", stage.key());
     }
     assert_eq!(expected.counter("serve.sessions"), 3);
+    server.shutdown_shards();
 }
 
 /// A live probe session can fetch the same snapshot over the wire.
 #[test]
 fn stats_request_round_trips_over_the_wire() {
-    let server = Server::new(ServerConfig::default(), enabled_collector());
+    let server = one_shard(ServerConfig::default());
     run_canned_session(&server, "hi");
 
     let (client_half, server_half) = MemTransport::pair();
-    let srv = server.clone();
-    let t = std::thread::spawn(move || srv.serve_connection(server_half));
+    assert!(server.admit(Box::new(server_half)).is_ok(), "no shard");
     let mut client = ServeClient::connect(client_half, "fig1").unwrap();
     let (text, json) = client.request_stats().unwrap();
     client.finish().unwrap();
-    t.join().unwrap();
+    server.shutdown_shards();
 
     validate_json(&json).expect("stats JSON must parse");
     assert!(text.contains("serve.sessions"), "text summary: {text}");
@@ -124,16 +147,16 @@ fn stats_request_round_trips_over_the_wire() {
 /// Collects the slow-frame dump lines from one fully deterministic
 /// run: manual clock, zero-budget SLO, one canned session.
 fn slow_frames_for_canned_run() -> Vec<String> {
-    let cfg = ServerConfig {
+    let server = one_shard(ServerConfig {
         manual_clock: Some((5_000, 1)),
         session: SessionConfig {
             slo_us: Some(0),
             ..SessionConfig::default()
         },
         ..ServerConfig::default()
-    };
-    let server = Server::new(cfg, enabled_collector());
+    });
     run_canned_session(&server, "ab");
+    server.shutdown_shards();
     server.slow_log().entries()
 }
 

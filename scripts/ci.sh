@@ -99,7 +99,7 @@ CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e13_latency
 echo "==> e14 quick smoke (parallel paint + wire encoder, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e14_parallel_paint
 
-echo "==> e15 quick smoke (shard dispatch vs thread-per-conn, capped sample time)"
+echo "==> e15 quick smoke (shard dispatch at 1/2/4/8 shards, capped sample time)"
 CRITERION_SAMPLE_MS=50 cargo bench -q -p atk-bench --bench e15_shards
 
 echo "==> e16 quick smoke (replicated-document fanout, capped sample time)"
@@ -111,8 +111,10 @@ echo "==> e17 quick smoke + bench report (session forking, capped sample time)"
 # with per-scene cold/fork timings and ramp TTFF percentiles.
 CRITERION_SAMPLE_MS=50 scripts/bench_report.sh
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints tests, benches and examples too, not just the
+# library and binary code.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
