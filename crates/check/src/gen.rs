@@ -164,6 +164,27 @@ impl StepGen {
     }
 }
 
+/// Records `steps` seeded fuzzer steps against a throwaway session of
+/// `scene` on `backend`. Generation reads live state (window size,
+/// offered menus), so each step is applied as it is drawn; the result
+/// replays from scratch without the generator. Same inputs, same script.
+pub fn record_script(
+    scene: &str,
+    backend: &str,
+    seed: u64,
+    steps: usize,
+) -> Result<Vec<ScriptStep>, String> {
+    let mut session = crate::Session::build(scene, backend)?;
+    let mut gen = StepGen::new(seed);
+    let mut recorded = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let step = gen.next_step(&mut session.world, &mut session.im);
+        session.apply(&step);
+        recorded.push(step);
+    }
+    Ok(recorded)
+}
+
 /// Records a seeded interleaving of `writers` independent edit streams
 /// against **one shared session** — the generator-side model of a
 /// collaborative document. Each writer gets its own [`StepGen`] (so a
@@ -206,15 +227,7 @@ mod tests {
     use super::*;
 
     fn record_stream(seed: u64, steps: usize) -> Vec<ScriptStep> {
-        let mut session = crate::Session::build("fig2", "x11sim").expect("scene");
-        let mut gen = StepGen::new(seed);
-        let mut recorded = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let step = gen.next_step(&mut session.world, &mut session.im);
-            session.apply(&step);
-            recorded.push(step);
-        }
-        recorded
+        record_script("fig2", "x11sim", seed, steps).expect("scene")
     }
 
     #[test]

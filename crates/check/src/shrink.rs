@@ -5,11 +5,12 @@
 //! from a fresh scene each time. The result is 1-minimal — removing any
 //! single remaining step makes the failure disappear — which in practice
 //! reduces a 2000-step session to a handful of lines `runapp --script`
-//! can replay.
+//! can replay. The steps are opaque to the shrinker, so the same
+//! routine minimizes a plain script and a served interleaving of
+//! `(session, step)` pairs.
 
 use std::sync::Arc;
 
-use atk_core::ScriptStep;
 use atk_trace::Collector;
 
 /// Minimizes `steps` while `still_fails` keeps returning `true`.
@@ -17,15 +18,12 @@ use atk_trace::Collector;
 /// `still_fails` must re-run the candidate from scratch (the caller owns
 /// scene construction); every candidate evaluation is counted on
 /// `collector` as `check.shrink_rounds`.
-pub fn minimize<F>(
-    steps: &[ScriptStep],
-    collector: &Arc<Collector>,
-    mut still_fails: F,
-) -> Vec<ScriptStep>
+pub fn minimize<T, F>(steps: &[T], collector: &Arc<Collector>, mut still_fails: F) -> Vec<T>
 where
-    F: FnMut(&[ScriptStep]) -> bool,
+    T: Clone,
+    F: FnMut(&[T]) -> bool,
 {
-    let mut current: Vec<ScriptStep> = steps.to_vec();
+    let mut current: Vec<T> = steps.to_vec();
     if current.is_empty() {
         return current;
     }
@@ -57,6 +55,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atk_core::ScriptStep;
     use atk_graphics::Size;
     use atk_wm::WindowEvent;
 

@@ -41,9 +41,11 @@
 //!   admission queue
 //! * [`client`] — the client half: framebuffer reconstruction plus
 //!   latency/byte accounting
-//! * [`oracle`] — served-vs-in-process, sharded-vs-single, and
-//!   replicated-vs-replayed differentials: same script ⇒
-//!   byte-identical frames
+//! * [`oracle`] — the served differential: one [`ServedRun`] config
+//!   (scene, backend, shards, faults, fork, encoder, band paint) and
+//!   one comparator that holds private sessions and shared-document
+//!   replicas to an in-process replay — same script ⇒ byte-identical
+//!   frames and equal world counters
 //! * [`loadgen`] — N concurrent scripted clients (open-loop arrival,
 //!   rendezvous, chaos faults, replicated-document fleets, admission
 //!   storms) and the report behind EXPERIMENTS.md E11/E15/E16/E17
@@ -88,10 +90,7 @@ pub mod wire;
 pub use client::{ClientError, ClientStats, ServeClient};
 pub use fault::{FaultPlan, FaultTransport};
 pub use loadgen::{run_loadgen, run_loadgen_mem, LoadConfig, LoadReport, Profile};
-pub use oracle::{
-    collab_differential, collab_script_differential, encode_differential, run_sharded,
-    serve_differential, serve_differential_with, serve_script_differential, CollabRun, ShardedRun,
-};
+pub use oracle::{differential, Report, Script, ServedRun};
 pub use server::{serve_listener, Server, ServerConfig};
 pub use session::{HostedSession, SessionConfig, SessionEnd};
 pub use transport::{FrameTransport, MemTransport, TcpTransport};

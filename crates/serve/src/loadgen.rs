@@ -25,7 +25,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use atk_check::gen::{interleaved_script, StepGen};
+use atk_check::gen::{interleaved_script, record_script};
 use atk_check::Session;
 use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
@@ -252,19 +252,7 @@ pub fn client_script(
     steps: usize,
 ) -> Result<Vec<ScriptStep>, String> {
     match profile {
-        Profile::Mixed => {
-            // Generation reads live session state (window size, offered
-            // menus), so record against a throwaway local session.
-            let mut session = Session::build(scene, "x11sim")?;
-            let mut gen = StepGen::new(seed);
-            let mut out = Vec::with_capacity(steps);
-            for _ in 0..steps {
-                let step = gen.next_step(&mut session.world, &mut session.im);
-                session.apply(&step);
-                out.push(step);
-            }
-            Ok(out)
-        }
+        Profile::Mixed => record_script(scene, "x11sim", seed, steps),
         Profile::Typing => {
             let mut session = Session::build(scene, "x11sim")?;
             let size = session.im.window_mut().size();

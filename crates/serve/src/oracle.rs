@@ -1,483 +1,376 @@
-//! The served-vs-in-process differential oracle.
+//! The served differential: one config, one script, one comparator.
 //!
-//! A served session replaying a script must end with a framebuffer
-//! byte-identical to the same script run in-process through
-//! `atk_check::Session` — the wire, the batching, the diff shipping and
-//! the client-side reconstruction must all be invisible. The client
-//! runs synchronously (one step, one frame), which makes the server's
-//! per-batch settle structurally identical to the in-process `im.feed`
-//! per step; pipelined batching is exercised separately by the server
-//! unit tests, where byte identity of *intermediate* frames is not a
-//! promise.
+//! Every served configuration must end byte-identical to the same
+//! script replayed in-process through `atk_check::Session`: the wire,
+//! batching, diff shipping, shard placement, fault schedule, fork fast
+//! path, encoder, band paint and op log must all be invisible. A
+//! [`ServedRun`] names one point of that configuration space, a
+//! [`Script`] is private sessions or one shared document, and
+//! [`differential`] serves the script at the point and demands that
 //!
-//! [`run_sharded`] extends the same idea one level up: an N-shard
-//! server must be observably identical to a 1-shard server — same
-//! per-session framebuffers, same server-wide counters — except for
-//! the shard-local `serve.shard.*` scheduling plane, which is the only
-//! place shard count is allowed to leave a mark.
+//! * every client's final framebuffer equals the in-process reference,
+//! * every session's own counter plane equals the reference's, outside
+//!   the `serve.*` shipping plane and the `paint.*` band-scheduling
+//!   plane (which only banded paint fills), and
+//! * no client errors, no session ends mid-script, and no server
+//!   connection fails.
+//!
+//! Clients step synchronously (one step, one frame), so the server's
+//! per-batch settle is structurally the in-process per-step settle;
+//! pipelined batching is left to the server unit tests, where byte
+//! identity of *intermediate* frames is not a promise. Private
+//! sessions run one after another, which pins every counter two runs
+//! are compared on (batch sizes, peak concurrency, keyframe cadence)
+//! to one deterministic interleaving.
 
 use std::sync::Arc;
 
-use atk_check::gen::{interleaved_script, StepGen};
 use atk_check::Session;
 use atk_core::ScriptStep;
 use atk_graphics::Framebuffer;
-use atk_trace::Collector;
+use atk_trace::{Collector, Snapshot};
 
-use crate::client::ServeClient;
+use crate::client::{ClientStats, ServeClient};
 use crate::fault::{FaultPlan, FaultTransport};
 use crate::server::{Server, ServerConfig};
 use crate::session::SessionConfig;
 use crate::transport::{FrameTransport, MemTransport};
 
-/// The outcome of one oracle run.
+/// One served configuration: the flags the differential varies, each
+/// mapped onto the existing server and session config.
+#[derive(Debug, Clone, Copy)]
+pub struct ServedRun {
+    /// The scene every session (or the shared document) opens.
+    pub scene: &'static str,
+    /// Display backend, `x11sim` or `awmsim`. Private sessions ask for
+    /// it in their `Hello` (the server default stays `x11sim`); shared
+    /// replicas get it as the server's session backend.
+    pub backend: &'static str,
+    /// Worker shards.
+    pub shards: usize,
+    /// When set, every pipe runs behind a seeded lossless
+    /// [`FaultTransport`] and the shards poll in a seeded shuffled
+    /// order.
+    pub fault_seed: Option<u64>,
+    /// Fork sessions from per-shard templates ([`ServerConfig::fork`]).
+    pub fork: bool,
+    /// The RLE wire encoder ([`SessionConfig::encode`]).
+    pub encode: bool,
+    /// Band-paint threads ([`SessionConfig::paint_threads`]).
+    pub paint_threads: usize,
+}
+
+impl ServedRun {
+    /// `scene` on the server defaults: `x11sim`, one shard, no faults,
+    /// fork and encoder on, serial paint.
+    pub fn new(scene: &'static str) -> ServedRun {
+        ServedRun {
+            scene,
+            backend: "x11sim",
+            shards: 1,
+            fault_seed: None,
+            fork: true,
+            encode: true,
+            paint_threads: 1,
+        }
+    }
+}
+
+/// What the clients send: `(sender, step)` pairs.
+#[derive(Debug, Clone)]
+pub struct Script {
+    /// Clients that send steps: private sessions, or the writers of a
+    /// shared document.
+    pub senders: usize,
+    /// `None` for private sessions, which run one after another, each
+    /// sending its own steps. `Some(n)` for one shared document with `n`
+    /// watching replicas besides the writers: every replica attaches
+    /// before the first edit, the steps go in log order, and watchers
+    /// drain every 16 steps and converge on `Bye` catch-up.
+    pub watchers: Option<usize>,
+    /// `(sender, step)` pairs — the list the shrinker minimizes.
+    pub steps: Vec<(usize, ScriptStep)>,
+}
+
+impl Script {
+    /// Private sessions, one per script.
+    pub fn private(scripts: Vec<Vec<ScriptStep>>) -> Script {
+        Script {
+            senders: scripts.len(),
+            watchers: None,
+            steps: (0..)
+                .zip(scripts)
+                .flat_map(|(i, s)| s.into_iter().map(move |step| (i, step)))
+                .collect(),
+        }
+    }
+
+    /// One shared document: `steps` are `(writer, step)` in log order.
+    pub fn shared(writers: usize, watchers: usize, steps: Vec<(usize, ScriptStep)>) -> Script {
+        Script {
+            senders: writers,
+            watchers: Some(watchers),
+            steps,
+        }
+    }
+
+    /// The steps sender `i` sends, in order.
+    fn steps_of(&self, i: usize) -> impl Iterator<Item = &ScriptStep> {
+        self.steps
+            .iter()
+            .filter(move |(c, _)| *c == i)
+            .map(|(_, s)| s)
+    }
+}
+
+/// What a passing [`differential`] observed.
 #[derive(Debug)]
-pub struct OracleReport {
-    /// Steps replayed.
-    pub steps: usize,
-    /// Diff frames the served side shipped.
-    pub diff_frames: u64,
-    /// Keyframes the served side shipped.
-    pub key_frames: u64,
-    /// Raw wire length of every pixel frame received.
+pub struct Report {
+    /// Final client framebuffers, in admission order.
+    pub framebuffers: Vec<Framebuffer>,
+    /// The merged server-wide snapshot, taken after the shards joined.
+    pub merged: Snapshot,
+    /// Pixel frames (diffs and keyframes) the clients received.
+    pub frames: u64,
+    /// Raw wire length of those frames.
     pub raw_bytes: u64,
-    /// Bytes that actually crossed the wire for those frames (smaller
-    /// when the RLE encoder won).
+    /// Bytes that crossed the wire for them (fewer when RLE won).
     pub encoded_bytes: u64,
 }
 
-/// Records `steps` fuzzer steps against `scene` and replays them
-/// through [`serve_script_differential`] with the given session config.
-pub fn serve_differential_with(
-    scene: &str,
-    seed: u64,
-    steps: usize,
-    session: SessionConfig,
-) -> Result<OracleReport, String> {
-    // Record a concrete step stream against a throwaway session
-    // (generation reads live state: window size, offered menus).
-    let mut throwaway = Session::build(scene, "x11sim")?;
-    let mut gen = StepGen::new(seed);
-    let mut recorded: Vec<ScriptStep> = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let step = gen.next_step(&mut throwaway.world, &mut throwaway.im);
-        throwaway.apply(&step);
-        recorded.push(step);
-    }
-    serve_script_differential(scene, &recorded, session).map_err(|e| format!("seed {seed}: {e}"))
-}
-
-/// Records `steps` fuzzer steps against `scene`, replays them through a
-/// served session *and* in-process, and demands byte-identical final
-/// framebuffers.
+/// Serves `script` at `run` and compares it with the in-process
+/// reference: `atk_check::Session::build(scene, backend)` replaying
+/// each private session's script, or the merged order of a shared one.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first divergence (differing
-/// pixel count and first differing coordinate) or of any transport,
-/// protocol, or scene failure.
-pub fn serve_differential(scene: &str, seed: u64, steps: usize) -> Result<OracleReport, String> {
-    serve_differential_with(scene, seed, steps, SessionConfig::default())
-}
+/// The first divergence (which client, pixels or counters) or any
+/// transport, protocol, scene or server-side failure.
+pub fn differential(run: &ServedRun, script: &Script) -> Result<Report, String> {
+    let scene = run.scene;
+    if let Some((c, _)) = script.steps.iter().find(|(c, _)| *c >= script.senders) {
+        return Err(format!("script names sender {c} of {}", script.senders));
+    }
 
-/// The `encode` differential: the same fuzzer stream served with the
-/// RLE wire encoder *and* four-way parallel band paint enabled must
-/// reconstruct, on the client, the exact framebuffer the serial
-/// in-process reference produces. One byte-identity check covers both
-/// the encoder round-trip and the parallel-vs-serial paint promise
-/// end to end.
-pub fn encode_differential(scene: &str, seed: u64, steps: usize) -> Result<OracleReport, String> {
-    let session = SessionConfig {
-        encode: true,
-        paint_threads: 4,
+    let mut session = SessionConfig {
+        encode: run.encode,
+        paint_threads: run.paint_threads,
         ..SessionConfig::default()
     };
-    serve_differential_with(scene, seed, steps, session)
-}
-
-/// What one [`run_sharded`] pass observed — everything shard count is
-/// *not* allowed to change.
-#[derive(Debug)]
-pub struct ShardedRun {
-    /// Final client-side framebuffers, one per script, in script order.
-    pub framebuffers: Vec<Framebuffer>,
-    /// Merged server-wide counters with the shard-local scheduling
-    /// plane (`serve.shard.*`) stripped.
-    pub counters: Vec<(&'static str, u64)>,
-}
-
-/// Replays `scripts` (one session each, sequentially, synchronous
-/// stepping) against a server running `shards` worker shards over
-/// in-memory transports, and returns every final framebuffer plus the
-/// merged non-shard counters. With `fault_seed` set, every transport
-/// pair carries a seeded lossless [`FaultTransport`] (short writes,
-/// `WouldBlock` storms) on the client half — the differential then
-/// also proves fault schedules are invisible.
-///
-/// Sessions run sequentially on purpose: it pins every counter the
-/// comparison reads (batch sizes, peak concurrency, keyframe cadence)
-/// to one deterministic interleaving on both sides of the diff.
-pub fn run_sharded(
-    scene: &str,
-    scripts: &[Vec<ScriptStep>],
-    shards: usize,
-    session_cfg: SessionConfig,
-    fault_seed: Option<u64>,
-) -> Result<ShardedRun, String> {
+    if script.watchers.is_some() {
+        session.backend = run.backend.to_string();
+    }
     let collector = Arc::new(Collector::new());
     collector.enable();
-    let server_cfg = ServerConfig {
-        session: session_cfg,
-        // Exercise the readiness-reorder fault path whenever faults are
-        // on at all; with one connection at a time it must be inert.
-        readiness_shuffle_seed: fault_seed,
-        ..ServerConfig::default()
-    };
-    let server = Server::new(server_cfg, collector);
-    server.start_shards(shards.max(1));
-
-    let mut framebuffers = Vec::with_capacity(scripts.len());
-    for (i, script) in scripts.iter().enumerate() {
-        let (client_half, server_half) = MemTransport::pair();
-        let server_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(_) => Box::new(FaultTransport::new(server_half, FaultPlan::passthrough())),
-            None => Box::new(server_half),
-        };
-        server
-            .admit(server_t)
-            .map_err(|_| format!("session {i}: no shard accepting"))?;
-        let client_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(seed) => Box::new(FaultTransport::new(
-                client_half,
-                FaultPlan::lossless(seed ^ i as u64),
-            )),
-            None => Box::new(client_half),
-        };
-        let mut client = ServeClient::connect(client_t, scene)
-            .map_err(|e| format!("session {i}: connect: {e}"))?;
-        for step in script {
-            client
-                .step_sync(step)
-                .map_err(|e| format!("session {i}: {e}"))?;
-            if client.ended() {
-                return Err(format!("session {i}: server ended session mid-script"));
-            }
-        }
-        framebuffers.push(client.framebuffer().clone());
-        client.finish().map_err(|e| format!("session {i}: {e}"))?;
-    }
-
-    // Join the shard threads before reading counters, so every close
-    // has landed; then strip what is allowed to differ: the shard
-    // scheduling plane, and the template-build count — registries are
-    // per-shard caches, so how many shards built a template depends on
-    // where sessions landed. `world.forks` and `world.fork_shared_bytes`
-    // stay in the comparison: one fork per session, whatever the shard
-    // count.
+    let server = Server::new(
+        ServerConfig {
+            session,
+            retain_session_traces: true,
+            readiness_shuffle_seed: run.fault_seed,
+            fork: run.fork,
+            ..ServerConfig::default()
+        },
+        collector,
+    );
+    server.start_shards(run.shards);
+    // The in-process references replay on their own thread while the
+    // clients are served.
+    let (references, served) = std::thread::scope(|s| {
+        let references = s.spawn(|| references(run, script));
+        let served = serve(&server, run, script);
+        (references.join(), served)
+    });
+    // Join the shards before reading counters, so every close landed.
     server.shutdown_shards();
-    let counters = server
-        .merged_snapshot()
-        .counters
-        .into_iter()
-        .filter(|(key, _)| !key.starts_with("serve.shard.") && *key != "world.template_builds")
-        .collect();
-    Ok(ShardedRun {
-        framebuffers,
-        counters,
-    })
-}
-
-/// What one [`collab_differential`] pass proved.
-#[derive(Debug)]
-pub struct CollabRun {
-    /// Steps in the merged interleaving (== ops on the log).
-    pub steps: usize,
-    /// Replicas whose final framebuffer matched the reference.
-    pub replicas: usize,
-    /// Per-replica counter planes compared against the reference.
-    pub counter_planes: usize,
-}
-
-/// The replicated-document differential: `writers + watchers` replicas
-/// attach to one shared document on an N-shard server, the writers
-/// submit a seeded interleaving of edit streams through the document's
-/// op log, and **every** replica's final client-reconstructed
-/// framebuffer — plus every replica's non-`serve.*` counter plane —
-/// must be byte-identical to one in-process session replaying the same
-/// merged order. The wire, the log, the cross-shard fanout, and the
-/// drain chunking must all be invisible.
-///
-/// Replicas are admitted least-loaded-first onto an idle server, so
-/// with `shards > 1` and at least `shards` replicas they are pinned to
-/// *different* shards and every fanout crosses a shard boundary. With
-/// `fault_seed` set, each client half runs behind a seeded lossless
-/// [`FaultTransport`] and the server halves take the short-write path,
-/// proving chaos schedules are invisible too.
-///
-/// Watchers never send a step; they drain frames opportunistically
-/// mid-run (the non-blocking path) and converge on `Bye` catch-up.
-///
-/// # Errors
-///
-/// A description of the first divergence — a replica whose pixels or
-/// counters differ from the reference — or of any transport, protocol,
-/// or scene failure.
-pub fn collab_differential(
-    scene: &str,
-    seed: u64,
-    writers: usize,
-    watchers: usize,
-    steps: usize,
-    shards: usize,
-    fault_seed: Option<u64>,
-) -> Result<CollabRun, String> {
-    let script = interleaved_script(scene, seed, writers, steps)?;
-    collab_script_differential(scene, &script, writers, watchers, shards, fault_seed)
-        .map_err(|e| format!("seed {seed}: {e}"))
-}
-
-/// [`collab_differential`] over an already-recorded interleaving:
-/// `(writer, step)` pairs in log order.
-///
-/// # Errors
-///
-/// See [`collab_differential`].
-pub fn collab_script_differential(
-    scene: &str,
-    script: &[(usize, ScriptStep)],
-    writers: usize,
-    watchers: usize,
-    shards: usize,
-    fault_seed: Option<u64>,
-) -> Result<CollabRun, String> {
-    if let Some((w, _)) = script.iter().find(|(w, _)| *w >= writers) {
-        return Err(format!("script names writer {w} of {writers}"));
+    let references = references.map_err(|_| format!("{scene}: reference replay panicked"))??;
+    let clients = served?;
+    let merged = server.merged_snapshot();
+    let failures = merged.counter("serve.shard.failures");
+    if failures > 0 {
+        return Err(format!("{scene}: {failures} server connection(s) failed"));
     }
-    // In-process reference: one session applying the merged order one
-    // settled step at a time, no wire.
-    let mut reference = Session::build(scene, "x11sim")?;
-    for (_, step) in script {
-        reference.apply(step);
-    }
-    let want_fb = reference
-        .im
-        .snapshot()
-        .ok_or("reference backend has no pixels")?;
-    let want_counters = strip_serve_plane(reference.world.collector().snapshot().counters);
 
-    // Replicated run: one doc, every replica attached before the first
-    // edit, writers serialized through the log in script order.
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server_cfg = ServerConfig {
-        session: SessionConfig::default(),
-        retain_session_traces: true,
-        readiness_shuffle_seed: fault_seed,
-        ..ServerConfig::default()
+    let parts = server.trace_parts();
+    let mut report = Report {
+        framebuffers: Vec::with_capacity(clients.len()),
+        merged,
+        frames: 0,
+        raw_bytes: 0,
+        encoded_bytes: 0,
     };
-    let server = Server::new(server_cfg, collector);
-    server.start_shards(shards.max(1));
-    let doc_id = "oracle";
-
-    let replicas = writers + watchers;
-    let mut clients: Vec<ServeClient<Box<dyn FrameTransport>>> = Vec::with_capacity(replicas);
-    for i in 0..replicas {
-        let (client_half, server_half) = MemTransport::pair();
-        let server_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(_) => Box::new(FaultTransport::new(server_half, FaultPlan::passthrough())),
-            None => Box::new(server_half),
-        };
-        server
-            .admit(server_t)
-            .map_err(|_| format!("replica {i}: no shard accepting"))?;
-        let client_t: Box<dyn FrameTransport> = match fault_seed {
-            Some(fs) => Box::new(FaultTransport::new(
-                client_half,
-                FaultPlan::lossless(fs ^ (i as u64).wrapping_mul(0x9e37)),
-            )),
-            None => Box::new(client_half),
-        };
-        // Only the first attacher names the scene; joiners inherit it.
-        let offered = (i == 0).then_some(scene);
-        let client = ServeClient::attach(client_t, doc_id, offered)
-            .map_err(|e| format!("replica {i}: attach: {e}"))?;
-        clients.push(client);
-    }
-
-    for (n, (w, step)) in script.iter().enumerate() {
-        clients[*w]
-            .step_sync(step)
-            .map_err(|e| format!("writer {w} step {n}: {e}"))?;
-        if clients[*w].ended() {
-            return Err(format!("writer {w}: server ended session mid-script"));
+    for (i, (id, stats, fb)) in clients.into_iter().enumerate() {
+        // A shared document has one reference for every replica.
+        let (want_fb, want_plane) = references.get(i).unwrap_or(&references[0]);
+        if let Some(d) = divergence(want_fb, &fb) {
+            return Err(format!("{scene}: client {i} diverges from in-process: {d}"));
         }
-        // Watchers keep up without blocking, like a real viewer would.
-        if n % 16 == 15 {
-            for (i, c) in clients.iter_mut().enumerate().skip(writers) {
-                c.drain_frames()
-                    .map_err(|e| format!("watcher {i}: drain: {e}"))?;
-            }
-        }
-    }
-
-    // Every op is already on every replica's channel (submit fans out
-    // synchronously), so `Bye` catch-up converges each replica before
-    // its final frame.
-    let mut finals = Vec::with_capacity(replicas);
-    for (i, client) in clients.into_iter().enumerate() {
-        let (_, fb) = client
-            .finish_with_frame()
-            .map_err(|e| format!("replica {i}: finish: {e}"))?;
-        finals.push(fb);
-    }
-    server.shutdown_shards();
-
-    for (i, fb) in finals.iter().enumerate() {
-        if fb.width() != want_fb.width()
-            || fb.height() != want_fb.height()
-            || fb.pixels() != want_fb.pixels()
-        {
-            let differing = want_fb
-                .pixels()
-                .iter()
-                .zip(fb.pixels())
-                .filter(|(a, b)| a != b)
-                .count();
+        let name = format!("session-{id}");
+        let got = parts
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, snap)| world_plane(snap))
+            .ok_or_else(|| format!("{scene}: client {i}: no retained {name} counter plane"))?;
+        if got != *want_plane {
             return Err(format!(
-                "{scene}: replica {i} diverges from the in-process \
-                 reference ({differing} differing pixels of {})",
-                want_fb.pixels().len()
+                "{scene}: client {i} ({name}) counter plane diverges from in-process:\n  \
+                 want {want_plane:?}\n  got  {got:?}"
             ));
         }
+        report.framebuffers.push(fb);
+        report.frames += stats.diff_frames + stats.key_frames;
+        report.raw_bytes += stats.diff_bytes + stats.full_bytes;
+        report.encoded_bytes += stats.encoded_bytes;
     }
-
-    // Every replica's own counter plane (its session collector, minus
-    // the serve-side shipping/scheduling keys) must equal the
-    // reference's: the world each replica computed is the same world.
-    let mut counter_planes = 0;
-    for (name, snap) in server.trace_parts() {
-        if !name.starts_with("session-") {
-            continue;
-        }
-        let got = strip_serve_plane(snap.counters);
-        if got != want_counters {
-            return Err(format!(
-                "{scene}: {name} counter plane diverges from the \
-                 in-process reference:\n  want {want_counters:?}\n  got  {got:?}"
-            ));
-        }
-        counter_planes += 1;
-    }
-    if counter_planes != replicas {
-        return Err(format!(
-            "{scene}: expected {replicas} retained replica counter \
-             planes, found {counter_planes}"
-        ));
-    }
-
-    Ok(CollabRun {
-        steps: script.len(),
-        replicas,
-        counter_planes,
-    })
+    Ok(report)
 }
 
-/// Drops the `serve.*` keys — the shipping/scheduling plane is allowed
-/// to differ between a wired replica and the in-process reference; the
-/// world beneath it is not.
-fn strip_serve_plane(counters: Vec<(&'static str, u64)>) -> Vec<(&'static str, u64)> {
-    counters
-        .into_iter()
-        .filter(|(key, _)| !key.starts_with("serve."))
+type Reference = (Framebuffer, Vec<(&'static str, u64)>);
+
+/// The in-process replays, each its pixels and counter plane: one per
+/// private session, or one for a shared document.
+fn references(run: &ServedRun, script: &Script) -> Result<Vec<Reference>, String> {
+    let replays: Vec<Vec<&ScriptStep>> = match script.watchers {
+        None => (0..script.senders)
+            .map(|i| script.steps_of(i).collect())
+            .collect(),
+        Some(_) => vec![script.steps.iter().map(|(_, s)| s).collect()],
+    };
+    let replay = |steps: Vec<&ScriptStep>| {
+        let mut session = Session::build(run.scene, run.backend)?;
+        for step in steps {
+            session.apply(step);
+        }
+        let fb = session
+            .im
+            .snapshot()
+            .ok_or("reference backend has no pixels")?;
+        Ok((fb, world_plane(&session.world.collector().snapshot())))
+    };
+    replays.into_iter().map(replay).collect()
+}
+
+/// The counters a served session must share with the in-process
+/// reference: all but the `serve.*` shipping/scheduling plane and the
+/// `paint.*` band-scheduling plane.
+fn world_plane(snap: &Snapshot) -> Vec<(&'static str, u64)> {
+    snap.counters
+        .iter()
+        .filter(|(key, _)| !key.starts_with("serve.") && !key.starts_with("paint."))
+        .copied()
         .collect()
 }
 
-/// Replays an already-recorded script through a served session and
-/// in-process, demanding byte-identical final framebuffers.
-///
-/// # Errors
-///
-/// See [`serve_differential`].
-pub fn serve_script_differential(
-    scene: &str,
-    recorded: &[ScriptStep],
-    session_cfg: SessionConfig,
-) -> Result<OracleReport, String> {
-    // In-process reference run.
-    let mut reference = Session::build(scene, "x11sim")?;
-    for step in recorded {
-        reference.apply(step);
-    }
-    let want = reference
-        .im
-        .snapshot()
-        .ok_or("reference backend has no pixels")?;
-
-    // Served run: one forked session on a one-shard server over the
-    // in-memory transport, synchronous stepping. The collector is on so
-    // the shard counts any connection it fails.
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server_cfg = ServerConfig {
-        session: session_cfg,
-        ..ServerConfig::default()
-    };
-    let server = Server::new(server_cfg, collector);
-    server.start_shards(1);
-    let (client_half, server_half) = MemTransport::pair();
-    server
-        .admit(Box::new(server_half))
-        .map_err(|_| "no shard accepting")?;
-
-    let run = (|| -> Result<_, String> {
-        let mut client = ServeClient::connect(client_half, scene).map_err(|e| e.to_string())?;
-        for step in recorded {
-            client.step_sync(step).map_err(|e| e.to_string())?;
-            if client.ended() {
-                return Err("server ended session mid-script".into());
-            }
-        }
-        let got = client.framebuffer().clone();
-        let stats = client.finish().map_err(|e| e.to_string())?;
-        Ok((got, stats))
-    })();
-    server.shutdown_shards();
-    let (got, stats) = run?;
-    let failures = server.merged_snapshot().counter("serve.shard.failures");
-    if failures > 0 {
-        return Err(format!("{failures} server connection(s) failed"));
-    }
-
-    // Compare dimensions and pixels (not the whole struct — a leftover
-    // clip region on the server snapshot would be a false alarm).
-    let same = got.width() == want.width()
-        && got.height() == want.height()
-        && got.pixels() == want.pixels();
-    if !same {
-        let mut differing = 0usize;
-        let mut first = None;
-        for y in 0..want.height().min(got.height()) {
-            for x in 0..want.width().min(got.width()) {
-                if want.get(x, y) != got.get(x, y) {
-                    differing += 1;
-                    first.get_or_insert((x, y));
-                }
-            }
-        }
-        return Err(format!(
-            "{scene}: served framebuffer diverges from in-process \
-             ({}x{} vs {}x{}, {differing} differing pixels, first at {first:?})",
+/// Dimensions, differing pixel count and first differing coordinate,
+/// or `None` when the framebuffers agree. Only size and pixels count: a
+/// leftover clip region on either side is not a divergence.
+fn divergence(want: &Framebuffer, got: &Framebuffer) -> Option<String> {
+    let (w, h) = (want.width(), want.height());
+    if (got.width(), got.height()) != (w, h) {
+        return Some(format!(
+            "{}x{} served vs {w}x{h} in-process",
             got.width(),
-            got.height(),
-            want.width(),
-            want.height(),
+            got.height()
         ));
     }
-    Ok(OracleReport {
-        steps: recorded.len(),
-        diff_frames: stats.diff_frames,
-        key_frames: stats.key_frames,
-        raw_bytes: stats.diff_bytes + stats.full_bytes,
-        encoded_bytes: stats.encoded_bytes,
-    })
+    let mut differing = (0..)
+        .zip(want.pixels().iter().zip(got.pixels()))
+        .filter(|(_, (a, b))| a != b);
+    let (first, _) = differing.next()?;
+    Some(format!(
+        "{w}x{h}, {} differing pixels, first at ({}, {})",
+        differing.count() + 1,
+        first % w,
+        first / w
+    ))
+}
+
+type Client = ServeClient<Box<dyn FrameTransport>>;
+
+/// Runs every client of `script` to its goodbye: `(session id, stats,
+/// final framebuffer)` per client, in admission order.
+fn serve(
+    server: &Server,
+    run: &ServedRun,
+    script: &Script,
+) -> Result<Vec<(u64, ClientStats, Framebuffer)>, String> {
+    let open = |i: usize| -> Result<Client, String> {
+        let t = pipe(server, run.fault_seed, i)?;
+        match script.watchers {
+            None => ServeClient::connect_backend(t, run.scene, Some(run.backend)),
+            // Only the first attacher names the scene; joiners inherit it.
+            Some(_) => ServeClient::attach(t, "oracle", (i == 0).then_some(run.scene)),
+        }
+        .map_err(|e| format!("client {i}: open: {e}"))
+    };
+    let finish = |i: usize, client: Client| {
+        let id = client.session_id();
+        let (stats, fb) = client
+            .finish_with_frame()
+            .map_err(|e| format!("client {i}: finish: {e}"))?;
+        Ok((id, stats, fb))
+    };
+    let Some(watchers) = script.watchers else {
+        return (0..script.senders)
+            .map(|i| {
+                let mut client = open(i)?;
+                for step in script.steps_of(i) {
+                    step_sync(&mut client, i, step)?;
+                }
+                finish(i, client)
+            })
+            .collect();
+    };
+    let writers = script.senders;
+    let mut clients = (0..writers + watchers)
+        .map(open)
+        .collect::<Result<Vec<_>, _>>()?;
+    for (n, (w, step)) in script.steps.iter().enumerate() {
+        step_sync(&mut clients[*w], *w, step)?;
+        // Watchers keep up without blocking, like a real viewer.
+        if n % 16 == 15 {
+            for (i, c) in clients.iter_mut().enumerate().skip(writers) {
+                c.drain_frames()
+                    .map_err(|e| format!("client {i}: drain: {e}"))?;
+            }
+        }
+    }
+    // Submit fans every op out synchronously, so `Bye` catch-up
+    // converges each replica before its final frame.
+    (0..).zip(clients).map(|(i, c)| finish(i, c)).collect()
+}
+
+fn step_sync(client: &mut Client, i: usize, step: &ScriptStep) -> Result<(), String> {
+    client
+        .step_sync(step)
+        .map_err(|e| format!("client {i}: {e}"))?;
+    if client.ended() {
+        return Err(format!("client {i}: server ended session mid-script"));
+    }
+    Ok(())
+}
+
+/// Admits one in-memory pipe and returns its client half. With faults
+/// on, the client half runs a seeded lossless schedule (short writes,
+/// `WouldBlock` storms) and the server half takes the short-write path.
+fn pipe(
+    server: &Server,
+    fault_seed: Option<u64>,
+    i: usize,
+) -> Result<Box<dyn FrameTransport>, String> {
+    let (client_half, server_half) = MemTransport::pair();
+    let (client_t, server_t): (Box<dyn FrameTransport>, Box<dyn FrameTransport>) = match fault_seed
+    {
+        Some(seed) => (
+            Box::new(FaultTransport::new(
+                client_half,
+                FaultPlan::lossless(seed ^ (i as u64).wrapping_mul(0x9e37)),
+            )),
+            Box::new(FaultTransport::new(server_half, FaultPlan::passthrough())),
+        ),
+        None => (Box::new(client_half), Box::new(server_half)),
+    };
+    server
+        .admit(server_t)
+        .map_err(|_| format!("client {i}: no shard accepting"))?;
+    Ok(client_t)
 }

@@ -930,36 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn menu_select_replays_at_recorded_position() {
-        // Two sessions replay the same recorded menu selection, but the
-        // preceding `menu request` carried different positions. The
-        // select replay re-pops the menu, and it must land where the
-        // request was recorded — before the fix both popped at the
-        // origin and the replays were pixel-identical.
-        let run = |pos: atk_graphics::Point| -> Vec<u32> {
-            let collector = Arc::new(Collector::new());
-            let mut s =
-                HostedSession::open("fig3_messages_reading", SessionConfig::default(), collector)
-                    .unwrap();
-            let _ = s.initial_keyframe();
-            let _ = s.apply_batch(&[ScriptStep::Event(WindowEvent::MenuRequest { pos })], 0);
-            let label =
-                s.im.offered_menus()
-                    .first()
-                    .map(|m| format!("{}/{}", m.card, m.label))
-                    .expect("fig3 offers menus");
-            let _ = s.apply_batch(&[ScriptStep::MenuSelect(label)], 0);
-            s.current_fb().pixels().to_vec()
-        };
-        let origin = run(atk_graphics::Point::ORIGIN);
-        let offset = run(atk_graphics::Point::new(300, 220));
-        assert_ne!(
-            origin, offset,
-            "menu select replay ignored the recorded request position"
-        );
-    }
-
-    #[test]
     fn idle_eviction_runs_on_the_virtual_clock() {
         let collector = Arc::new(Collector::new());
         let cfg = SessionConfig {

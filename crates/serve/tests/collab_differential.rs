@@ -10,12 +10,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use atk_check::gen::interleaved_script;
 use atk_core::ScriptStep;
 use atk_graphics::Point;
-use atk_serve::oracle::{collab_differential, collab_script_differential};
 use atk_serve::session::SessionConfig;
 use atk_serve::transport::{FrameTransport, MemTransport};
-use atk_serve::{ClientError, ServeClient, Server, ServerConfig};
+use atk_serve::{differential, ClientError, Script, ServeClient, ServedRun, Server, ServerConfig};
 use atk_trace::Collector;
 use atk_wm::{Key, WindowEvent};
 
@@ -26,18 +26,23 @@ const STEPS: usize = 80;
 /// runs four shards with four replicas so every replica lands on its
 /// own shard and all fanout crosses shard boundaries; seed 42 adds a
 /// seeded fault schedule on every transport on top of that.
-fn run_scene(scene: &str) {
+fn run_scene(scene: &'static str) {
     for seed in SEEDS {
-        let (writers, watchers, shards, faults) = match seed {
+        let (writers, watchers, shards, fault_seed) = match seed {
             1 | 2 => (2, 1, 1, None),
             7 => (2, 2, 4, None),
             _ => (2, 2, 4, Some(seed)),
         };
-        let run = collab_differential(scene, seed, writers, watchers, STEPS, shards, faults)
+        let steps = interleaved_script(scene, seed, writers, STEPS).unwrap();
+        let run = ServedRun {
+            shards,
+            fault_seed,
+            ..ServedRun::new(scene)
+        };
+        let report = differential(&run, &Script::shared(writers, watchers, steps))
             .unwrap_or_else(|e| panic!("{scene} seed {seed}: {e}"));
-        assert_eq!(run.replicas, writers + watchers);
-        assert_eq!(run.steps, STEPS);
-        assert_eq!(run.counter_planes, run.replicas);
+        assert_eq!(report.framebuffers.len(), writers + watchers);
+        assert_eq!(report.merged.counter("serve.collab.ops"), STEPS as u64);
     }
 }
 
@@ -77,11 +82,14 @@ fn menu_select_after_off_origin_request_converges() {
         (1, ScriptStep::MenuSelect(label)),
         (0, tick(5)),
     ];
-    let run = collab_script_differential("fig3", &script, 2, 1, 2, None)
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(run.replicas, 3);
-    assert_eq!(run.steps, script.len());
-    assert_eq!(run.counter_planes, run.replicas);
+    let run = ServedRun {
+        shards: 2,
+        ..ServedRun::new("fig3")
+    };
+    let report =
+        differential(&run, &Script::shared(2, 1, script)).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.framebuffers.len(), 3);
+    assert_eq!(report.merged.counter("serve.collab.ops"), 3);
 }
 
 fn key(c: char) -> ScriptStep {

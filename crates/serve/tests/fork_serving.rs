@@ -8,26 +8,8 @@
 //! `--no-fork` ablation really builds cold — zero forks, zero template
 //! builds — and still serves everyone.
 
-use std::sync::Arc;
-
-use atk_check::gen::StepGen;
-use atk_check::Session;
-use atk_serve::{LoadConfig, MemTransport, Profile, ServeClient, Server, ServerConfig};
-use atk_trace::Collector;
-
-/// Records `steps` fuzzer steps against a throwaway in-process session
-/// (generation reads live window state), like the serve differentials.
-fn record(scene: &str, backend: &str, seed: u64, steps: usize) -> Vec<atk_core::ScriptStep> {
-    let mut throwaway = Session::build(scene, backend).expect("scene builds");
-    let mut gen = StepGen::new(seed);
-    let mut recorded = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let step = gen.next_step(&mut throwaway.world, &mut throwaway.im);
-        throwaway.apply(&step);
-        recorded.push(step);
-    }
-    recorded
-}
+use atk_check::gen::record_script;
+use atk_serve::{differential, LoadConfig, Profile, Script, ServedRun};
 
 // A wire client asks for awmsim in its Hello; the shard forks an awmsim
 // session from a template and the shipped pixels must match an
@@ -36,48 +18,19 @@ fn record(scene: &str, backend: &str, seed: u64, steps: usize) -> Vec<atk_core::
 // not the default — picked the backend.
 #[test]
 fn hello_backend_awmsim_round_trips_over_the_wire() {
-    let scene = "fig3";
-    let script = record(scene, "awmsim", 7, 40);
-
-    let mut reference = Session::build(scene, "awmsim").expect("scene builds");
-    for step in &script {
-        reference.apply(step);
-    }
-    let want = reference.im.snapshot().expect("awmsim snapshots");
-
-    let collector = Arc::new(Collector::new());
-    collector.enable();
-    let server = Server::new(ServerConfig::default(), collector);
-    server.start_shards(1);
-    let (client_half, server_half) = MemTransport::pair();
-    assert!(server.admit(Box::new(server_half)).is_ok(), "shard accepts");
-    let mut client =
-        ServeClient::connect_backend(client_half, scene, Some("awmsim")).expect("connect");
-    for step in &script {
-        client.step_sync(step).expect("step");
-        assert!(!client.ended(), "server ended session mid-script");
-    }
-    let got = client.framebuffer().clone();
-    client.finish().expect("goodbye");
-    server.shutdown_shards();
-
-    assert!(
-        got.width() == want.width()
-            && got.height() == want.height()
-            && got.pixels() == want.pixels(),
-        "served awmsim framebuffer diverges from in-process ({}x{} vs {}x{})",
-        got.width(),
-        got.height(),
-        want.width(),
-        want.height(),
-    );
-    let merged = server.merged_snapshot();
+    let run = ServedRun {
+        backend: "awmsim",
+        ..ServedRun::new("fig3")
+    };
+    let script = record_script(run.scene, run.backend, 7, 40).expect("scene builds");
+    let report = differential(&run, &Script::private(vec![script]))
+        .unwrap_or_else(|e| panic!("served awmsim: {e}"));
     assert_eq!(
-        merged.counter("world.forks"),
+        report.merged.counter("world.forks"),
         1,
         "the awmsim session must be born by fork"
     );
-    assert_eq!(merged.counter("world.template_builds"), 1);
+    assert_eq!(report.merged.counter("world.template_builds"), 1);
 }
 
 // Satellite: under a concurrent admission storm — 512 ramp sessions

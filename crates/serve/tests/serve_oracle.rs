@@ -1,62 +1,59 @@
-//! The serving acceptance oracles.
+//! The serving acceptance oracles, each a point of [`differential`]:
 //!
 //! * served-vs-in-process: a served session replaying a fuzzer script
-//!   ends byte-identical to the same script run in-process (three
-//!   scenes × four seeds, 40 steps each);
-//! * `encode`: the same differential with the RLE wire encoder *and*
-//!   four-way parallel band paint enabled — every scene × the same
-//!   seeds — so the encoder round-trip and the parallel-vs-serial
-//!   paint promise are proven end to end in one byte-identity check;
+//!   ends byte-identical, pixels and world counters, to the same
+//!   script run in-process (three scenes × four seeds, 40 steps each);
+//! * `encode`: the same differential with four-way parallel band paint
+//!   under the RLE wire encoder — every scene × the same seeds — so the
+//!   encoder round-trip and the parallel-vs-serial paint promise are
+//!   proven end to end in one byte-identity check;
 //! * menu position: a recorded `menu request x y` + `menu select`
 //!   script replays served and in-process to the same pixels.
 
-use atk_serve::{encode_differential, serve_differential, serve_script_differential};
+use atk_check::gen::record_script;
+use atk_serve::{differential, Script, ServedRun};
 
 const SEEDS: [u64; 4] = [1, 2, 7, 42];
 const STEPS: usize = 40;
 
-fn run_scene(scene: &str) {
+fn run_scene(run: ServedRun) {
     for seed in SEEDS {
-        let report = serve_differential(scene, seed, STEPS).unwrap();
-        assert_eq!(report.steps, STEPS);
-        assert!(
-            report.diff_frames + report.key_frames > 0,
-            "{scene} seed {seed}: no frames shipped"
-        );
-    }
-}
-
-fn run_scene_encoded(scene: &str) {
-    for seed in SEEDS {
-        let report = encode_differential(scene, seed, STEPS).unwrap();
-        assert_eq!(report.steps, STEPS);
-        assert!(
-            report.diff_frames + report.key_frames > 0,
-            "{scene} seed {seed}: no frames shipped"
-        );
+        let steps = record_script(run.scene, run.backend, seed, STEPS).unwrap();
+        let report = differential(&run, &Script::private(vec![steps]))
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // One frame per synchronous step, plus the initial keyframe.
+        assert_eq!(report.frames, STEPS as u64 + 1, "{} seed {seed}", run.scene);
         assert!(
             report.encoded_bytes <= report.raw_bytes,
-            "{scene} seed {seed}: encoder inflated the wire \
-             ({} encoded vs {} raw)",
+            "{} seed {seed}: encoder inflated the wire ({} encoded vs {} raw)",
+            run.scene,
             report.encoded_bytes,
             report.raw_bytes
         );
     }
 }
 
+/// The encoder (on by default) under four-way band paint.
+fn run_scene_encoded(scene: &'static str) {
+    run_scene(ServedRun {
+        paint_threads: 4,
+        ..ServedRun::new(scene)
+    });
+}
+
 #[test]
 fn served_matches_in_process_fig1() {
-    run_scene("fig1");
+    run_scene(ServedRun::new("fig1"));
 }
 
 #[test]
 fn served_matches_in_process_fig3() {
-    run_scene("fig3");
+    run_scene(ServedRun::new("fig3"));
 }
 
 #[test]
 fn served_matches_in_process_fig5() {
-    run_scene("fig5");
+    run_scene(ServedRun::new("fig5"));
 }
 
 #[test]
@@ -111,7 +108,6 @@ fn menu_position_survives_the_wire() {
         ScriptStep::MenuSelect(label),
         ScriptStep::Event(WindowEvent::Tick(5)),
     ];
-    let report =
-        serve_script_differential("fig3", &script, atk_serve::SessionConfig::default()).unwrap();
-    assert_eq!(report.steps, 3);
+    let report = differential(&ServedRun::new("fig3"), &Script::private(vec![script])).unwrap();
+    assert_eq!(report.frames, 4);
 }
